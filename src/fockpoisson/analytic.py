@@ -1,10 +1,10 @@
 """Floating-point layer: Cauchy transforms, functional equations, cumulants.
 
 The Cauchy transform of the deformed Poisson distribution is evaluated as a
-finite continued fraction over the recurrence coefficients, bottom-up from a
-terminal tail z - alpha_depth.  Limits live here as ordinary zero values of
-s and t (with 0**0 = 1), in contrast to the exact layer where they are
-polynomial specializations.
+finite continued fraction over moments.jacobi's recurrence coefficients at
+float parameters, bottom-up from a terminal tail z - alpha_depth.  Limits
+are the float values 0 and 1 of s and t (with 0.0**0 = 1.0), just as the
+exact layer substitutes ZERO and ONE.
 
 The s = 1, t -> 0 case also has a closed form: G(z) is a root of
 
@@ -30,24 +30,14 @@ class DomainError(ValueError):
     """The evaluation point is outside the function's domain."""
 
 
-def _poly_float(p, lam: float, s: float, t: float) -> float:
-    """Evaluate a MultiPoly at float parameters, with 0.0**0 == 1.0."""
-    total = 0.0
-    for (el2, es, et), coeff in p.terms():
-        total += coeff * lam ** (el2 / 2) * s**es * t**et
-    return total
-
-
 def jacobi_floats(lam: float, s: float, t: float, depth: int):
     """(alphas, omegas) of the continued fraction as floats; s, t in [0, 1]."""
     if lam <= 0:
         raise DomainError(f"lambda must be positive, got {lam}")
     if not 0 <= s <= 1 or not 0 <= t <= 1:
         raise DomainError(f"s and t must lie in [0, 1], got s={s}, t={t}")
-    jp = jacobi(depth)
-    alphas = [_poly_float(a, lam, s, t) for a in jp.alpha]
-    omegas = [_poly_float(w, lam, s, t) for w in jp.omega[: depth - 1]]
-    return alphas, omegas
+    jp = jacobi(depth, float(lam), float(s), float(t))
+    return list(jp.alpha), list(jp.omega[: depth - 1])
 
 
 def continued_fraction(z: complex, alphas, omegas) -> complex:

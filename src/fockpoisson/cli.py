@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import analytic, fock, moments, partitions, words
 from .partitions import Family, LimitExceededError
-from .poly import MultiPoly
+from .poly import ONE, S, T, ZERO
 
 # First ten values of the lam = 1 conditionally free sequence, kept as a
 # built-in cross-check for the sequence command (OEIS A054391 family).
@@ -27,10 +27,11 @@ CFREE_SEQUENCE_REFERENCE = (1, 2, 5, 14, 41, 123, 374, 1147, 3538, 10958)
 ENGINE_NAMES = ("nc", "blockwise", "jacobi", "operator")
 
 _ENGINE_FUNCS = {
-    "nc": lambda n, force: moments.moment_nc(n, max_n=n if force else None),
-    "blockwise": lambda n, force: moments.moment_blockwise(n, max_n=n if force else None),
-    "jacobi": lambda n, force: moments.moment_jacobi(n),
-    "operator": lambda n, force: fock.vacuum_moment(n),
+    "nc": lambda n, force, s, t: moments.moment_nc(n, n if force else None, s, t),
+    "blockwise": lambda n, force, s, t: moments.moment_blockwise(
+        n, n if force else None, s, t),
+    "jacobi": lambda n, force, s, t: moments.moment_jacobi(n, s, t),
+    "operator": lambda n, force, s, t: fock.vacuum_moment(n, None, s, t),
 }
 
 
@@ -46,46 +47,33 @@ def _fmt_float(x: float) -> str:
 
 
 def _add_st_flags(parser, with_lambda=True):
+    """The s/t limit flags; with_lambda adds the values --lam, --s and --t."""
     if with_lambda:
         parser.add_argument("--lam", type=_fraction, default=Fraction(1),
                             help="rate parameter lambda (rational, default 1)")
     gs = parser.add_mutually_exclusive_group()
-    gs.add_argument("--s", type=_fraction, help="deformation parameter s in (0,1]")
+    if with_lambda:
+        gs.add_argument("--s", type=_fraction, help="deformation parameter s in (0,1]")
     gs.add_argument("--s-one", action="store_true", help="specialize s = 1")
     gs.add_argument("--s-zero", action="store_true", help="take the limit s -> 0")
     gt = parser.add_mutually_exclusive_group()
-    gt.add_argument("--t", type=_fraction, help="deformation parameter t in (0,1]")
+    if with_lambda:
+        gt.add_argument("--t", type=_fraction, help="deformation parameter t in (0,1]")
     gt.add_argument("--t-one", action="store_true", help="specialize t = 1")
     gt.add_argument("--t-zero", action="store_true", help="take the limit t -> 0")
 
 
-def _specialize(poly: MultiPoly, args) -> MultiPoly:
-    """Apply the requested s/t limits to an exact polynomial."""
-    if args.s_zero or args.t_zero:
-        poly = poly.specialize_zero(kill_s=args.s_zero, kill_t=args.t_zero)
-    if args.s_one or args.t_one:
-        poly = poly.specialize_one(s=args.s_one, t=args.t_one)
-    return poly
-
-
-def _st_floats(args) -> tuple:
-    """(s, t) as floats for the analytic layer, honoring limit flags."""
+def _st_values(args, one, zero, s, t) -> tuple:
+    """(s, t) after the limit flags: one or zero of the target ring where a
+    flag is given, the passed s or t where not."""
     if args.s_one:
-        s = 1.0
+        s = one
     elif args.s_zero:
-        s = 0.0
-    elif args.s is not None:
-        s = float(args.s)
-    else:
-        s = 1.0
+        s = zero
     if args.t_one:
-        t = 1.0
+        t = one
     elif args.t_zero:
-        t = 0.0
-    elif args.t is not None:
-        t = float(args.t)
-    else:
-        t = 1.0
+        t = zero
     return s, t
 
 
@@ -151,8 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_st_flags(p_cau)
     p_cau.add_argument("--depth", type=int, default=80,
                        help="continued fraction truncation depth")
-    p_cau.add_argument("--re", default="-2:4:7", metavar="MIN:MAX:STEPS")
-    p_cau.add_argument("--im", default="0.5:3.5:7", metavar="MIN:MAX:STEPS")
+    p_cau.add_argument("--re", default="-2:4:7", metavar="MIN:MAX:STEPS",
+                       help="grid of real parts (default -2:4:7); give a "
+                       "negative MIN in the --re=MIN:MAX:STEPS form")
+    p_cau.add_argument("--im", default="0.5:3.5:7", metavar="MIN:MAX:STEPS",
+                       help="grid of positive imaginary parts (default "
+                       "0.5:3.5:7); --im=MIN:MAX:STEPS also works")
     p_cau.add_argument("--closed", action="store_true",
                        help="also evaluate the s=1, t->0 closed form and the difference")
     p_cau.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -180,15 +172,16 @@ def _cmd_moments(args) -> int:
                   file=sys.stderr)
             return 2
 
+    s, t = _st_values(args, ONE, ZERO, S, T)
     engines = ENGINE_NAMES if args.engine == "all" else (args.engine,)
     rows = []
     agree = True
     for n in range(1, args.nmax + 1):
-        values = {name: _ENGINE_FUNCS[name](n, args.force) for name in engines}
+        values = {name: _ENGINE_FUNCS[name](n, args.force, s, t) for name in engines}
         first = values[engines[0]]
         if any(v != first for v in values.values()):
             agree = False
-        rows.append((n, _specialize(first, args)))
+        rows.append((n, first))
 
     out = []
     if args.format == "plain":
@@ -422,7 +415,9 @@ def _cmd_cauchy(args) -> int:
         print("error: --depth must be >= 1", file=sys.stderr)
         return 2
     lam = float(args.lam)
-    s, t = _st_floats(args)
+    s, t = _st_values(args, 1.0, 0.0,
+                      1.0 if args.s is None else float(args.s),
+                      1.0 if args.t is None else float(args.t))
     if args.closed and not (s == 1.0 and t == 0.0):
         print("error: --closed requires s = 1 and t -> 0 (--s-one --t-zero)",
               file=sys.stderr)

@@ -16,7 +16,7 @@ vacuum never reach level n+1.
 
 from __future__ import annotations
 
-from .poly import LAM, ONE, SQRT_LAM, ZERO, MultiPoly
+from .poly import LAM, ONE, S, SQRT_LAM, T, ZERO, MultiPoly
 
 
 class FockMatrix:
@@ -105,8 +105,11 @@ class FockMatrix:
         return [[str(x) for x in row] for row in self.entries]
 
 
-def build_generators(N: int):
-    """(creation, annihilation, scalar, intermediate) truncated at level N."""
+def build_generators(N: int, s=S, t=T):
+    """(creation, annihilation, scalar, intermediate) truncated at level N.
+
+    s and t are the variables by default; ONE or ZERO substitute a limit.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     dim = N + 1
@@ -118,19 +121,19 @@ def build_generators(N: int):
         if m + 1 <= N:
             creation.entries[m + 1][m] = ONE
         if m >= 1:
-            annihilation.entries[m - 1][m] = MultiPoly.term(1, es=m - 1)
-            intermediate.entries[m][m] = MultiPoly.term(1, et=m - 1)
-        scalar.entries[m][m] = MultiPoly.term(1, es=m)
+            annihilation.entries[m - 1][m] = s ** (m - 1)
+            intermediate.entries[m][m] = t ** (m - 1)
+        scalar.entries[m][m] = s**m
     return creation, annihilation, scalar, intermediate
 
 
-def poisson_matrix(N: int) -> FockMatrix:
+def poisson_matrix(N: int, s=S, t=T) -> FockMatrix:
     """intermediate + sqrt(l)*(creation + annihilation) + l*scalar."""
-    creation, annihilation, scalar, intermediate = build_generators(N)
+    creation, annihilation, scalar, intermediate = build_generators(N, s, t)
     return intermediate + (creation + annihilation).scale(SQRT_LAM) + scalar.scale(LAM)
 
 
-def vacuum_moment(n: int, N=None) -> MultiPoly:
+def vacuum_moment(n: int, N=None, s=S, t=T) -> MultiPoly:
     """(0,0) entry of the n-th power of the Poisson operator, truncated at N (default n)."""
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -140,7 +143,7 @@ def vacuum_moment(n: int, N=None) -> MultiPoly:
         N = n
     if N < n:
         raise ValueError("truncation below n is not exact")
-    P = poisson_matrix(N)
+    P = poisson_matrix(N, s, t)
     vec = [ONE] + [ZERO] * N
     for _ in range(n):
         vec = P.apply(vec)
@@ -161,8 +164,6 @@ def check_relations(N: int):
     if N < 2:
         raise ValueError("N must be >= 2")
     creation, annihilation, scalar, intermediate = build_generators(N)
-    s = MultiPoly.term(1, es=1)
-    t = MultiPoly.term(1, et=1)
 
     below_top = range(0, N)  # products through creation are exact here
     below_top_pos = range(1, N)
@@ -174,30 +175,30 @@ def check_relations(N: int):
         (
             "ann*cre = s*(cre*ann)",
             annihilation @ creation,
-            (creation @ annihilation).scale(s),
+            (creation @ annihilation).scale(S),
             below_top_pos,
         ),
         (
             "scalar*cre = s*(cre*scalar)",
             scalar @ creation,
-            (creation @ scalar).scale(s),
+            (creation @ scalar).scale(S),
             below_top,
         ),
         (
             "s*(scalar*ann) = ann*scalar",
-            (scalar @ annihilation).scale(s),
+            (scalar @ annihilation).scale(S),
             annihilation @ scalar,
             pos_cols,
         ),
         (
             "inter*cre = t*(cre*inter)",
             intermediate @ creation,
-            (creation @ intermediate).scale(t),
+            (creation @ intermediate).scale(T),
             below_top_pos,
         ),
         (
             "t*(inter*ann) = ann*inter",
-            (intermediate @ annihilation).scale(t),
+            (intermediate @ annihilation).scale(T),
             annihilation @ intermediate,
             range(2, N + 1),
         ),

@@ -4,22 +4,22 @@ Three independent routes compute the same moment polynomial m_n(l, s, t):
 
   * moment_nc        - sum over non-crossing partitions of l^blocks *
                        s^td1 * t^td2,
-  * moment_blockwise - the same sum written as a per-block product, blocks of
-                       size <= 2 contributing s^depth and larger blocks
-                       (s * t^(size-2))^depth,
+  * moment_blockwise - the same sum written as a per-block product, every
+                       block contributing s^depth and a block of size k > 2
+                       also t^((k-2)*depth),
   * moment_jacobi    - (0,0) entry of powers of the monic tridiagonal matrix
-                       built from the recurrence coefficients
-                       alpha_1 = l, alpha_{k} = l*s^(k-1) + t^(k-2) (k >= 2),
-                       omega_k = l*s^(k-1),
+                       built from the recurrence coefficients of jacobi(),
 
 with the operator engine in fockpoisson.fock as a fourth.  Exact agreement of
 all four is the package's central cross-check and is wired into the test
 suite and the CLI's all-engines mode.
 
-Limits are polynomial operations: s = 1 or t = 1 erase an exponent, s -> 0 or
-t -> 0 drop every term carrying the variable.  The s = 1, t -> 0 table also
-arises by counting non-crossing partitions whose inner blocks all have size
-at most 2, which cfree_moments computes directly.
+Limits are substitutions made before computing: every engine takes the
+values of s and t, by default the variables S and T, and ONE or ZERO in
+their place gives s = 1, t = 1 or the s -> 0, t -> 0 limit (ZERO**0 is ONE,
+so exponent-zero terms survive, as in MultiPoly.specialize_zero).  The
+s = 1, t -> 0 table also arises by counting non-crossing partitions whose
+inner blocks all have size at most 2, which cfree_moments computes directly.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from . import fock
 from .partitions import Family, NCPartition, count_by_blocks, enumerate_nc, stats
-from .poly import LAM, ONE, ZERO, MultiPoly
+from .poly import LAM, ONE, S, T, ZERO, MultiPoly
 
 
 class DegreeOutOfRangeError(ValueError):
@@ -48,13 +48,17 @@ class JacobiParams:
     omega: tuple
 
 
-def jacobi(kmax: int) -> JacobiParams:
+def jacobi(kmax: int, lam=LAM, s=S, t=T) -> JacobiParams:
+    """alpha_1 = l, alpha_k = l*s^(k-1) + t^(k-2) (k >= 2), omega_k = l*s^(k-1).
+
+    The parameters may live in any ring with +, * and ** whose zero
+    satisfies 0**0 = 1: MultiPoly (the variables, or ONE/ZERO for the
+    limits) or float.
+    """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    alpha = [LAM]
-    for k in range(2, kmax + 1):
-        alpha.append(MultiPoly.term(1, el=1, es=k - 1) + MultiPoly.term(1, et=k - 2))
-    omega = [MultiPoly.term(1, el=1, es=k - 1) for k in range(1, kmax + 1)]
+    alpha = [lam] + [lam * s ** (k - 1) + t ** (k - 2) for k in range(2, kmax + 1)]
+    omega = [lam * s ** (k - 1) for k in range(1, kmax + 1)]
     return JacobiParams(alpha=tuple(alpha), omega=tuple(omega))
 
 
@@ -143,13 +147,13 @@ def ortho_polys(nmax: int):
 # -- the three moment engines -----------------------------------------------
 
 
-def moment_jacobi(n: int) -> MultiPoly:
+def moment_jacobi(n: int, s=S, t=T) -> MultiPoly:
     """Vacuum moment as the (0,0) entry of the n-th monic Jacobi matrix power."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return ONE
-    jp = jacobi(n + 1)
+    jp = jacobi(n + 1, LAM, s, t)
     vec = [ONE] + [ZERO] * n
     for _ in range(n):
         new = []
@@ -170,39 +174,45 @@ def weight(p: NCPartition) -> MultiPoly:
     return MultiPoly.term(1, el=len(p.blocks), es=st.td1, et=st.td2)
 
 
-def moment_nc(n: int, max_n=None) -> MultiPoly:
+def _weigh(counts, s, t) -> MultiPoly:
+    """sum of count * l^blocks * s^es * t^et over {(blocks, es, et): count}."""
+    acc = ZERO
+    for (blocks, es, et), count in counts.items():
+        acc = acc + count * LAM**blocks * s**es * t**et
+    return acc
+
+
+def moment_nc(n: int, max_n=None, s=S, t=T) -> MultiPoly:
     """Vacuum moment as the weight sum over all non-crossing partitions."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return ONE
-    acc = {}
+    counts = {}
     for p in enumerate_nc(n, max_n=max_n):
         st = stats(p)
-        key = (2 * len(p.blocks), st.td1, st.td2)
-        acc[key] = acc.get(key, 0) + 1
-    return MultiPoly(acc)
+        key = (len(p.blocks), st.td1, st.td2)
+        counts[key] = counts.get(key, 0) + 1
+    return _weigh(counts, s, t)
 
 
-def moment_blockwise(n: int, max_n=None) -> MultiPoly:
+def moment_blockwise(n: int, max_n=None, s=S, t=T) -> MultiPoly:
     """Vacuum moment via the per-block depth products (same sum, reshaped)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return ONE
-    acc = {}
+    counts = {}
     for p in enumerate_nc(n, max_n=max_n):
         depths = stats(p).block_depths
         es = et = 0
         for b, d in zip(p.blocks, depths):
-            if len(b) <= 2:
-                es += d
-            else:
-                es += d
+            es += d
+            if len(b) > 2:
                 et += (len(b) - 2) * d
-        key = (2 * len(p.blocks), es, et)
-        acc[key] = acc.get(key, 0) + 1
-    return MultiPoly(acc)
+        key = (len(p.blocks), es, et)
+        counts[key] = counts.get(key, 0) + 1
+    return _weigh(counts, s, t)
 
 
 # -- moment tables and the functional ----------------------------------------
@@ -283,13 +293,11 @@ def limit_case(nmax: int, case: LimitCase, max_n=None) -> MomentTable:
         raise ValueError("nmax must be >= 1")
     if case is LimitCase.CFREE:
         return cfree_moments(nmax, max_n=max_n)
-    ms = [ONE]
-    for n in range(1, nmax + 1):
-        m = moment_nc(n, max_n=max_n)
-        if case is LimitCase.FREE:
-            ms.append(m.specialize_one(s=True, t=True))
-        elif case is LimitCase.BOOLEAN:
-            ms.append(m.specialize_zero(kill_s=True, kill_t=True))
-        else:
-            raise ValueError(f"unknown limit case {case}")
+    if case is LimitCase.FREE:
+        s = t = ONE
+    elif case is LimitCase.BOOLEAN:
+        s = t = ZERO
+    else:
+        raise ValueError(f"unknown limit case {case}")
+    ms = [ONE] + [moment_nc(n, max_n, s, t) for n in range(1, nmax + 1)]
     return MomentTable(n_max=nmax, m=tuple(ms))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,7 @@ from fockpoisson.analytic import (
     jacobi_floats,
     quadratic_residual,
 )
-from fockpoisson.moments import moment_table
+from fockpoisson.moments import jacobi, moment_table
 
 from oracles import laurent_moments, taylor_coeffs
 
@@ -56,6 +57,16 @@ def test_jacobi_floats_limits():
     alphas, omegas = jacobi_floats(2.0, 0.0, 0.0, 4)
     assert alphas == [2.0, 1.0, 0.0, 0.0]  # boolean: l, then t^0 = 1, then nothing
     assert omegas == [2.0, 0.0, 0.0]  # omega_1 = l * s^0 survives s -> 0
+
+
+def test_jacobi_floats_match_the_exact_coefficients():
+    alphas, omegas = jacobi_floats(1.5, 0.375, 0.625, 30)
+    point = (Fraction(3, 2), Fraction(3, 8), Fraction(5, 8))
+    jp = jacobi(30)
+    exact = [float(p.eval(*point)) for p in jp.alpha + jp.omega[:29]]
+    assert len(alphas) == 30 and len(omegas) == 29
+    for got, want in zip(alphas + omegas, exact):
+        assert abs(got - want) <= 1e-15 * abs(want)
 
 
 def test_cf_matches_closed_form():

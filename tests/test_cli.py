@@ -16,6 +16,34 @@ ENGINES AGREE
 """
 
 
+# cauchy --depth 200 on --re=-1:1:3 --im=0.5:1.5:3, one generic and one limit leg
+CAUCHY_GENERIC_CSV = """\
+re_z,im_z,re_g,im_g
+-1,0.5,-0.4729848929134427,-0.16683307141666129
+0,0.5,-0.40548641404729024,-0.64062885874033726
+1,0.5,-0.03443909972281449,-0.66514063330370776
+-1,1,-0.36019892346598426,-0.22820926201170033
+0,1,-0.28347920433894497,-0.47066599205190884
+1,1,-0.042012386664145376,-0.53117235059801637
+-1,1.5,-0.27565922907260998,-0.23831986958671442
+0,1.5,-0.20776675391404684,-0.38432831995374239
+1,1.5,-0.052071508715685638,-0.44066626259914321
+"""
+
+CAUCHY_S_ZERO_CSV = """\
+re_z,im_z,re_g,im_g
+-1,0.5,-0.56216216216216219,-0.22702702702702707
+0,0.5,-0.23529411764705876,-1.0588235294117647
+1,0.5,0,-0.40000000000000002
+-1,1,-0.40000000000000002,-0.29999999999999993
+0,1,-0.19999999999999998,-0.59999999999999998
+1,1,0,-0.5
+-1,1.5,-0.28717948717948716,-0.29743589743589743
+0,1.5,-0.15999999999999998,-0.45333333333333331
+1,1.5,0,-0.46153846153846156
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -209,12 +237,30 @@ def test_cauchy_json_and_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("params, expected", [
+    (("--lam", "3/2", "--s", "3/8", "--t", "5/8"), CAUCHY_GENERIC_CSV),
+    (("--s-zero", "--t", "1/3"), CAUCHY_S_ZERO_CSV),
+], ids=["generic", "s-zero"])
+def test_cauchy_golden_csv(capsys, params, expected):
+    code, out, _ = run(capsys, "cauchy", *params, "--depth", "200",
+                       "--re=-1:1:3", "--im=0.5:1.5:3")
+    assert code == 0
+    assert out == expected
+
+
+def test_cauchy_negative_range_start_in_equals_form(capsys):
+    default = run(capsys, "cauchy")
+    typed = run(capsys, "cauchy", "--re=-2:4:7")
+    assert default[0] == 0
+    assert typed == default
+
+
 def test_engine_disagreement_exits_one(capsys, monkeypatch):
     import fockpoisson.cli as cli
     from fockpoisson.poly import MultiPoly
 
     broken = dict(cli._ENGINE_FUNCS)
-    broken["jacobi"] = lambda n, force: MultiPoly.const(n)  # wrong on purpose
+    broken["jacobi"] = lambda n, force, s, t: MultiPoly.const(n)  # wrong on purpose
     monkeypatch.setattr(cli, "_ENGINE_FUNCS", broken)
     code, out, _ = run(capsys, "moments", "--nmax", "2", "--engine", "all")
     assert code == 1
@@ -229,7 +275,10 @@ def test_usage_errors_exit_two(capsys):
         main(["moments", "--engine", "wat"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["moments", "--s", "1/2", "--s-one"])  # mutually exclusive
+        main(["moments", "--nmax", "3", "--s", "1/2"])  # values are cauchy's only
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["cauchy", "--s", "1/2", "--s-one"])  # mutually exclusive
     assert exc.value.code == 2
     capsys.readouterr()
 

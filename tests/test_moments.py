@@ -21,7 +21,7 @@ from fockpoisson.moments import (
     weight,
 )
 from fockpoisson.partitions import NCPartition
-from fockpoisson.poly import LAM, ONE, S, ZERO, MultiPoly
+from fockpoisson.poly import LAM, ONE, S, T, ZERO, MultiPoly
 
 from oracles import det_fraction, interval_count_bruteforce, nc_bruteforce
 
@@ -107,6 +107,20 @@ def test_engines_agree_through_n8():
         assert moment_blockwise(n) == a
         assert moment_jacobi(n) == a
         assert fock.vacuum_moment(n) == a
+
+
+@pytest.mark.parametrize(
+    "engine", [moment_nc, moment_blockwise, moment_jacobi, fock.vacuum_moment],
+    ids=["nc", "blockwise", "jacobi", "operator"])
+def test_substitution_commutes_with_every_engine(engine):
+    substitutions = [(s, t) for s in (S, ONE, ZERO) for t in (T, ONE, ZERO)
+                     if (s, t) != (S, T)]
+    for n in range(0, 9):
+        full = engine(n)
+        for s, t in substitutions:
+            expected = full.specialize_zero(kill_s=s == ZERO, kill_t=t == ZERO)
+            expected = expected.specialize_one(s=s == ONE, t=t == ONE)
+            assert engine(n, s=s, t=t) == expected, (n, s, t)
 
 
 def test_weight_helper():
