@@ -3,8 +3,9 @@ free Poisson distribution, computed by mutually verifying engines:
 
   * an operator model on a truncated weighted Fock space (fockpoisson.fock),
   * a three-term recurrence / Jacobi-matrix engine (fockpoisson.moments),
-  * non-crossing-partition combinatorics with depth statistics
-    (fockpoisson.partitions, fockpoisson.words, fockpoisson.moments),
+  * non-crossing-partition combinatorics with depth statistics, by
+    enumeration and by the first-block recursion (fockpoisson.partitions,
+    fockpoisson.words, fockpoisson.moments),
 
 over exact integer-coefficient polynomials in the deformation parameters
 (fockpoisson.poly), plus a floating-point analytic layer for continued

@@ -4,6 +4,9 @@ Word strings on this CLI read left-to-right in order of application: the
 first character is the factor applied first to the vacuum (the rightmost
 factor of the written operator product).
 
+Options match by full name only.  Only moments --engine nc|all and partitions
+--list list partitions, under a size cap; counts come from a recursion.
+
 Exit codes: 0 success; 1 cross-engine disagreement or failed relation check
 (a theorem-check failure, distinct from user error); 2 usage error; 3
 enumeration cap exceeded without --force.
@@ -28,8 +31,7 @@ ENGINE_NAMES = ("nc", "blockwise", "jacobi", "operator")
 
 _ENGINE_FUNCS = {
     "nc": lambda n, force, s, t: moments.moment_nc(n, n if force else None, s, t),
-    "blockwise": lambda n, force, s, t: moments.moment_blockwise(
-        n, n if force else None, s, t),
+    "blockwise": lambda n, force, s, t: moments.moment_blockwise(n, s, t),
     "jacobi": lambda n, force, s, t: moments.moment_jacobi(n, s, t),
     "operator": lambda n, force, s, t: fock.vacuum_moment(n, None, s, t),
 }
@@ -51,16 +53,13 @@ def _add_st_flags(parser, with_lambda=True):
     if with_lambda:
         parser.add_argument("--lam", type=_fraction, default=Fraction(1),
                             help="rate parameter lambda (rational, default 1)")
-    gs = parser.add_mutually_exclusive_group()
-    if with_lambda:
-        gs.add_argument("--s", type=_fraction, help="deformation parameter s in (0,1]")
-    gs.add_argument("--s-one", action="store_true", help="specialize s = 1")
-    gs.add_argument("--s-zero", action="store_true", help="take the limit s -> 0")
-    gt = parser.add_mutually_exclusive_group()
-    if with_lambda:
-        gt.add_argument("--t", type=_fraction, help="deformation parameter t in (0,1]")
-    gt.add_argument("--t-one", action="store_true", help="specialize t = 1")
-    gt.add_argument("--t-zero", action="store_true", help="take the limit t -> 0")
+    for v in ("s", "t"):
+        group = parser.add_mutually_exclusive_group()
+        if with_lambda:
+            group.add_argument(f"--{v}", type=_fraction, help=f"deformation parameter "
+                               f"{v} in [0, 1]; 0 and 1 equal --{v}-zero and --{v}-one")
+        group.add_argument(f"--{v}-one", action="store_true", help=f"specialize {v} = 1")
+        group.add_argument(f"--{v}-zero", action="store_true", help=f"take the limit {v} -> 0")
 
 
 def _st_values(args, one, zero, s, t) -> tuple:
@@ -85,10 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Word strings read left-to-right as the factors applied first "
         "to the vacuum; the leftmost character is the rightmost factor of the "
         "written product.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_mom = sub.add_parser("moments", help="moment table by one engine or all")
+    def add_command(name, help):
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
+    p_mom = add_command("moments", help="moment table by one engine or all")
     p_mom.add_argument("--nmax", type=int, default=7)
     p_mom.add_argument("--engine", choices=ENGINE_NAMES + ("all",), default="all")
     _add_st_flags(p_mom, with_lambda=False)
@@ -96,15 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also evaluate each row at rational lambda,s,t")
     p_mom.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     p_mom.add_argument("--force", action="store_true",
-                       help="override the enumeration size cap")
+                       help="override the nc engine's enumeration size cap")
 
-    p_seq = sub.add_parser("sequence",
-                           help="lam = 1 conditionally free moment sequence")
+    p_seq = add_command("sequence", help="lam = 1 conditionally free moment sequence")
     p_seq.add_argument("--nmax", type=int, default=10)
     p_seq.add_argument("--format", choices=("plain", "json"), default="plain")
-    p_seq.add_argument("--force", action="store_true")
 
-    p_par = sub.add_parser("partitions", help="enumerate or count partition families")
+    p_par = add_command("partitions", help="enumerate or count partition families")
     p_par.add_argument("--n", type=int, required=True)
     p_par.add_argument("--family", choices=[f.name for f in Family], default="NC")
     p_par.add_argument("--list", action="store_true", help="list the members")
@@ -113,9 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_par.add_argument("--count-by-blocks", action="store_true",
                        help="table of counts by number of blocks")
     p_par.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    p_par.add_argument("--force", action="store_true")
+    p_par.add_argument("--force", action="store_true",
+                       help="with --list, override the enumeration size cap")
 
-    p_wrd = sub.add_parser("words", help="admissibility, bijection, card weights")
+    p_wrd = add_command("words", help="admissibility, bijection, card weights")
     src = p_wrd.add_mutually_exclusive_group(required=True)
     src.add_argument("--check", metavar="WORD", help="word over C/A/M/K")
     src.add_argument("--from-partition", metavar="JSON",
@@ -125,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="weigh intermediate cards in the degenerate t = 1 mode")
     p_wrd.add_argument("--format", choices=("plain", "json"), default="plain")
 
-    p_fck = sub.add_parser("fock", help="dump operator matrices, check relations")
+    p_fck = add_command("fock", help="dump operator matrices, check relations")
     p_fck.add_argument("--n", type=int, default=6, help="truncation level")
     p_fck.add_argument("--dump",
                        choices=("poisson", "creation", "annihilation", "scalar",
@@ -135,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify the commutation relations")
     p_fck.add_argument("--format", choices=("plain", "json"), default="plain")
 
-    p_cau = sub.add_parser("cauchy", help="Cauchy transform on a grid (CSV)")
+    p_cau = add_command("cauchy", help="Cauchy transform on a grid (CSV)")
     _add_st_flags(p_cau)
     p_cau.add_argument("--depth", type=int, default=80,
                        help="continued fraction truncation depth")
@@ -225,7 +227,7 @@ def _cmd_sequence(args) -> int:
     if args.nmax < 1:
         print("error: --nmax must be >= 1", file=sys.stderr)
         return 2
-    table = moments.cfree_moments(args.nmax, max_n=args.nmax if args.force else None)
+    table = moments.cfree_moments(args.nmax)
     values = [int(table.m[n].eval(1, 1, 1)) for n in range(1, args.nmax + 1)]
     upto = min(args.nmax, len(CFREE_SEQUENCE_REFERENCE))
     matches = tuple(values[:upto]) == CFREE_SEQUENCE_REFERENCE[:upto]
@@ -248,10 +250,9 @@ def _cmd_partitions(args) -> int:
         print("error: --n must be >= 1", file=sys.stderr)
         return 2
     family = Family[args.family]
-    max_n = args.n if args.force else None
 
     if args.count_by_blocks:
-        counts = partitions.count_by_blocks(args.n, family, max_n=max_n)
+        counts = partitions.count_by_blocks(args.n, family)
         if args.format == "json":
             print(json.dumps({"n": args.n, "family": family.name,
                               "counts_by_blocks": counts, "total": sum(counts)}))
@@ -267,6 +268,7 @@ def _cmd_partitions(args) -> int:
 
     if args.list:
         items = []
+        max_n = args.n if args.force else None
         for p in partitions.enumerate_family(args.n, family, max_n=max_n):
             blocks = json.dumps(p.to_json_obj(), separators=(",", ":"))
             if args.stats:
@@ -289,7 +291,7 @@ def _cmd_partitions(args) -> int:
             print(json.dumps(items))
         return 0
 
-    total = sum(1 for _ in partitions.enumerate_family(args.n, family, max_n=max_n))
+    total = sum(partitions.count_by_blocks(args.n, family))
     if args.format == "json":
         print(json.dumps({"n": args.n, "family": family.name, "count": total}))
     else:

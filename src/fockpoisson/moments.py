@@ -2,11 +2,11 @@
 
 Three independent routes compute the same moment polynomial m_n(l, s, t):
 
-  * moment_nc        - sum over non-crossing partitions of l^blocks *
-                       s^td1 * t^td2,
-  * moment_blockwise - the same sum written as a per-block product, every
-                       block contributing s^depth and a block of size k > 2
-                       also t^((k-2)*depth),
+  * moment_nc        - sum over the enumerated non-crossing partitions of
+                       l^blocks * s^td1 * t^td2,
+  * moment_blockwise - the same sum as a per-block product, a block of size k
+                       at depth d weighing l * s^d * t^((k-2)*d), added up by
+                       the first-block recursion partitions.block_sums,
   * moment_jacobi    - (0,0) entry of powers of the monic tridiagonal matrix
                        built from the recurrence coefficients of jacobi(),
 
@@ -17,9 +17,9 @@ suite and the CLI's all-engines mode.
 Limits are substitutions made before computing: every engine takes the
 values of s and t, by default the variables S and T, and ONE or ZERO in
 their place gives s = 1, t = 1 or the s -> 0, t -> 0 limit (ZERO**0 is ONE,
-so exponent-zero terms survive, as in MultiPoly.specialize_zero).  The
-s = 1, t -> 0 table also arises by counting non-crossing partitions whose
-inner blocks all have size at most 2, which cfree_moments computes directly.
+so exponent-zero terms survive, as in MultiPoly.specialize_zero).  In the
+three classical limits each block weighs l or nothing, so limit_case and
+cfree_moments count the members of a partition family by their blocks.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from enum import Enum
 from functools import lru_cache
 
 from . import fock
-from .partitions import Family, NCPartition, count_by_blocks, enumerate_nc, stats
+from .partitions import Family, NCPartition, block_sums, enumerate_nc, family_sums, stats
 from .poly import LAM, ONE, S, T, ZERO, MultiPoly
 
 
@@ -174,14 +174,6 @@ def weight(p: NCPartition) -> MultiPoly:
     return MultiPoly.term(1, el=len(p.blocks), es=st.td1, et=st.td2)
 
 
-def _weigh(counts, s, t) -> MultiPoly:
-    """sum of count * l^blocks * s^es * t^et over {(blocks, es, et): count}."""
-    acc = ZERO
-    for (blocks, es, et), count in counts.items():
-        acc = acc + count * LAM**blocks * s**es * t**et
-    return acc
-
-
 def moment_nc(n: int, max_n=None, s=S, t=T) -> MultiPoly:
     """Vacuum moment as the weight sum over all non-crossing partitions."""
     if n < 0:
@@ -193,26 +185,17 @@ def moment_nc(n: int, max_n=None, s=S, t=T) -> MultiPoly:
         st = stats(p)
         key = (len(p.blocks), st.td1, st.td2)
         counts[key] = counts.get(key, 0) + 1
-    return _weigh(counts, s, t)
+    return sum((c * LAM**k * s**es * t**et for (k, es, et), c in counts.items()), ZERO)
 
 
-def moment_blockwise(n: int, max_n=None, s=S, t=T) -> MultiPoly:
-    """Vacuum moment via the per-block depth products (same sum, reshaped)."""
+def moment_blockwise(n: int, s=S, t=T) -> MultiPoly:
+    """Vacuum moment as the sum of per-block products, by the first-block
+    recursion: a block of size k at depth d weighs l * s^d * t^((k-2)*d)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return ONE
-    counts = {}
-    for p in enumerate_nc(n, max_n=max_n):
-        depths = stats(p).block_depths
-        es = et = 0
-        for b, d in zip(p.blocks, depths):
-            es += d
-            if len(b) > 2:
-                et += (len(b) - 2) * d
-        key = (len(p.blocks), es, et)
-        counts[key] = counts.get(key, 0) + 1
-    return _weigh(counts, s, t)
+    return block_sums(n, lambda k, d: LAM * s**d * t ** (max(k - 2, 0) * d))[n]
 
 
 # -- moment tables and the functional ----------------------------------------
@@ -266,38 +249,24 @@ def moment_functional(p: XPoly, table: MomentTable) -> MultiPoly:
 # -- special cases ------------------------------------------------------------
 
 
-def cfree_moments(nmax: int, max_n=None) -> MomentTable:
-    """The s = 1, t -> 0 table via counts of partitions with small inner blocks.
-
-    m_n = sum over k of #{pi non-crossing with k blocks, every inner block of
-    size <= 2} * l^k.
-    """
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
-    ms = [ONE]
-    for n in range(1, nmax + 1):
-        counts = count_by_blocks(n, Family.NC12_INNER, max_n=max_n)
-        ms.append(MultiPoly({(2 * k, 0, 0): c for k, c in enumerate(counts, 1) if c}))
-    return MomentTable(n_max=nmax, m=tuple(ms))
-
-
 class LimitCase(Enum):
     FREE = "FREE"          # s = t = 1
     BOOLEAN = "BOOLEAN"    # s -> 0, t -> 0
     CFREE = "CFREE"        # s = 1, t -> 0
 
 
-def limit_case(nmax: int, case: LimitCase, max_n=None) -> MomentTable:
-    """Moment table in one of the three classical limits."""
+def limit_case(nmax: int, case: LimitCase) -> MomentTable:
+    """Moment table in one of the three classical limits, where a partition
+    weighs l^blocks if it is in the limit's family and 0 if not."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    if case is LimitCase.CFREE:
-        return cfree_moments(nmax, max_n=max_n)
-    if case is LimitCase.FREE:
-        s = t = ONE
-    elif case is LimitCase.BOOLEAN:
-        s = t = ZERO
-    else:
-        raise ValueError(f"unknown limit case {case}")
-    ms = [ONE] + [moment_nc(n, max_n, s, t) for n in range(1, nmax + 1)]
-    return MomentTable(n_max=nmax, m=tuple(ms))
+    family = {LimitCase.FREE: Family.NC, LimitCase.BOOLEAN: Family.INTERVAL,
+              LimitCase.CFREE: Family.NC12_INNER}[case]
+    ms = family_sums(nmax, family)
+    return MomentTable(n_max=nmax, m=(ONE, *ms[1:]))
+
+
+def cfree_moments(nmax: int) -> MomentTable:
+    """The s = 1, t -> 0 table: m_n = sum over k of l^k times the number of
+    non-crossing partitions with k blocks, every inner block of size <= 2."""
+    return limit_case(nmax, LimitCase.CFREE)

@@ -7,9 +7,11 @@ statistics attached to a non-crossing partition are the per-block depths
 intermediate-element total td2 = sum over blocks of size >= 3 of
 (size - 2) * depth.
 
-Enumeration recurses on the block containing the smallest element; the gaps
-between consecutive elements of that block are partitioned independently,
-which yields each non-crossing partition exactly once in a fixed order.
+The enumerator (under a size cap) and block_sums recurse on the block
+containing the first element; the gaps between its consecutive elements are
+partitioned independently, one level deeper.  The enumerator lists each
+non-crossing partition once in a fixed order; block_sums adds up per-block
+weights without listing any, and so counts the families.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+
+from .poly import LAM
 
 DEFAULT_MAX_N = 18
 _ENV_CAP = "FOCKPOISSON_MAX_N"
@@ -218,33 +222,66 @@ class Family(Enum):
     NC12_INNER = "NC12_INNER"
 
 
-def _in_family(p: NCPartition, family: Family) -> bool:
-    if family is Family.NC:
-        return True
-    st = stats(p)
-    if family is Family.INTERVAL:
-        return not any(st.inner_flags)
-    if family is Family.ALMOST_INTERVAL:
-        return all(
-            len(b) == 1 for b, inner in zip(p.blocks, st.inner_flags) if inner
-        )
-    if family is Family.NC12_INNER:
-        return all(
-            len(b) <= 2 for b, inner in zip(p.blocks, st.inner_flags) if inner
-        )
-    raise ValueError(f"unknown family {family}")
+# Blocks at depth 0 are unrestricted; an inner block of size k must pass
+# its family's test.
+_INNER_OK = {
+    Family.NC: lambda k: True,
+    Family.INTERVAL: lambda k: False,
+    Family.ALMOST_INTERVAL: lambda k: k == 1,
+    Family.NC12_INNER: lambda k: k <= 2,
+}
 
 
 def enumerate_family(n: int, family: Family, max_n=None):
     """Yield the members of the requested restricted family of NC(n)."""
+    ok = _INNER_OK[family]
     for p in enumerate_nc(n, max_n=max_n):
-        if _in_family(p, family):
+        if all(d == 0 or ok(len(b)) for b, d in zip(p.blocks, stats(p).block_depths)):
             yield p
 
 
-def count_by_blocks(n: int, family: Family, max_n=None):
+def block_sums(n: int, weight):
+    """[W(0), ..., W(n)]: W(m) sums, over NC(m), the product over blocks of
+    weight(size, depth), a ring element that mixes with int (int, MultiPoly).
+
+    The block holding a region's first point has size k at the region's
+    depth d; its k - 1 gaps are regions at depth d + 1 and the points after
+    it a region at depth d, which has at most n - 2d points.
+    """
+    inner = [1]  # regions at depth d + 1, by number of points
+    for d in range(n // 2, -1, -1):
+        size = n - 2 * d
+        ws = [weight(k, d) for k in range(1, size + 1)]
+        kmax = max((k for k, w in enumerate(ws, 1) if w), default=0)
+        # chain[m]: the first block's k points and its k - 1 gaps, m points in all
+        chain = [0, 1] + [0] * (size - 1)
+        span = [0] * (size + 1)
+        for k, w in enumerate(ws[:kmax], 1):
+            if k > 1:
+                chain = [0] + [sum(chain[m - g - 1] * inner[g]
+                                   for g in range(min(m - 1, len(inner)))
+                                   if chain[m - g - 1] and inner[g])
+                               for m in range(1, size + 1)]
+            if w:
+                for m in range(k, size + 1):
+                    if chain[m]:
+                        span[m] += w * chain[m]
+        region = [1] + [0] * size
+        for m in range(1, size + 1):
+            region[m] = sum(span[j] * region[m - j] for j in range(1, m + 1) if span[j])
+        inner = region
+    return inner
+
+
+def family_sums(n: int, family: Family):
+    """[F(0), ..., F(n)]: F(m) sums l^blocks over the family's members of NC(m)."""
+    ok = _INNER_OK[family]
+    return block_sums(n, lambda k, d: LAM if d == 0 or ok(k) else 0)
+
+
+def count_by_blocks(n: int, family: Family):
     """Counts of family members with exactly k blocks, for k = 1..n."""
-    counts = [0] * n
-    for p in enumerate_family(n, family, max_n=max_n):
-        counts[len(p.blocks) - 1] += 1
-    return counts
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    total = family_sums(n, family)[n]
+    return [total.coefficient(el=k) for k in range(1, n + 1)]

@@ -39,7 +39,8 @@ class DeformParams:
     """Numeric deformation parameters: lambda > 0, s and t in (0, 1].
 
     The degenerate values s = 0 and t = 0 are deliberately not representable
-    here; those limits are taken symbolically via MultiPoly.specialize_zero.
+    here; for those limits the engines take ZERO (or ONE for s = 1, t = 1)
+    in place of s or t and substitute it before computing.
     """
 
     lam: Fraction

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from fockpoisson.cli import main
+from fockpoisson.moments import moment_jacobi
+from fockpoisson.poly import ONE, ZERO
 
 MOMENTS_CFREE_PLAIN = """\
 m_1 = l
@@ -91,6 +93,13 @@ def test_sequence(capsys):
     code, out, _ = run(capsys, "sequence", "--nmax", "10")
     assert code == 0
     assert out == "1 2 5 14 41 123 374 1147 3538 10958\n"
+
+
+def test_sequence_beyond_enumeration_cap(capsys):
+    code, out, _ = run(capsys, "sequence", "--nmax", "25")
+    assert code == 0
+    expected = [moment_jacobi(n, ONE, ZERO).eval(1, 1, 1) for n in range(1, 26)]
+    assert [int(v) for v in out.split()] == expected
 
 
 def test_sequence_json(capsys):
@@ -186,9 +195,15 @@ def test_partitions_csv_counts(capsys):
 
 
 def test_partitions_cap_exit_code(capsys):
-    code, _, err = run(capsys, "partitions", "--n", "19")
+    code, _, err = run(capsys, "partitions", "--n", "19", "--list")
     assert code == 3
     assert "--force" in err
+
+
+def test_partitions_count_beyond_enumeration_cap(capsys):
+    code, out, _ = run(capsys, "partitions", "--n", "19")
+    assert code == 0
+    assert out == "1767263190\n"  # Catalan(19)
 
 
 def test_fock_relations_and_dump(capsys):
@@ -248,6 +263,14 @@ def test_cauchy_golden_csv(capsys, params, expected):
     assert out == expected
 
 
+def test_cauchy_zero_values_equal_limit_flags(capsys):
+    grid = ("--re=-1:1:3", "--im=0.5:1.5:3")
+    values = run(capsys, "cauchy", "--lam", "1", "--s", "0", "--t", "0", *grid)
+    flags = run(capsys, "cauchy", "--lam", "1", "--s-zero", "--t-zero", *grid)
+    assert values[0] == 0
+    assert values == flags
+
+
 def test_cauchy_negative_range_start_in_equals_form(capsys):
     default = run(capsys, "cauchy")
     typed = run(capsys, "cauchy", "--re=-2:4:7")
@@ -277,6 +300,12 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["moments", "--nmax", "3", "--s", "1/2"])  # values are cauchy's only
     assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    for argv in (["cauchy", "--s-o"],  # no prefix matching
+                 ["sequence", "--nmax", "3", "--force"]):  # counting has no cap
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["cauchy", "--s", "1/2", "--s-one"])  # mutually exclusive
     assert exc.value.code == 2

@@ -101,6 +101,11 @@ def test_moment_blockwise_equals_nc():
         assert moment_blockwise(n) == moment_nc(n)
 
 
+def test_moment_blockwise_equals_jacobi_beyond_enumeration():
+    for n in (14, 16):
+        assert moment_blockwise(n) == moment_jacobi(n)
+
+
 def test_engines_agree_through_n8():
     for n in range(0, 9):
         a = moment_nc(n)

@@ -157,6 +157,39 @@ def test_count_by_blocks_ties_to_moment_at_one():
         assert sum(count_by_blocks(n, Family.NC12_INNER)) == table.m[n].eval(1, 1, 1)
 
 
+def test_count_by_blocks_matches_enumeration():
+    for family in Family:
+        for n in range(1, 11):
+            counts = [0] * n
+            for p in enumerate_family(n, family):
+                counts[len(p.blocks) - 1] += 1
+            assert count_by_blocks(n, family) == counts, (family, n)
+
+
+def test_counting_never_enumerates(monkeypatch, capsys):
+    from fockpoisson import cli, moments, partitions
+    from fockpoisson.moments import LimitCase
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    for module, name in ((partitions, "_nc_blocks"), (partitions, "enumerate_nc"),
+                         (partitions, "enumerate_family"), (moments, "enumerate_nc")):
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError):
+        moments.moment_nc(3)  # the guard bites on the enumerating engine
+    assert moments.moment_blockwise(10) == moments.moment_jacobi(10)
+    for family in Family:
+        assert sum(count_by_blocks(10, family)) > 0
+    assert moments.cfree_moments(10).m[10].eval(1, 1, 1) == 10958
+    assert [moments.limit_case(8, case).m[8].eval(1, 1, 1) for case in LimitCase] == [
+        1430, 128, 1147]  # FREE, BOOLEAN, CFREE
+    assert cli.main(["partitions", "--n", "12"]) == 0
+    assert capsys.readouterr().out == "208012\n"
+    assert cli.main(["sequence", "--nmax", "12"]) == 0
+    assert cli.main(["moments", "--engine", "blockwise", "--nmax", "8"]) == 0
+
+
 def test_limit_exceeded_and_override():
     assert DEFAULT_MAX_N == 18
     with pytest.raises(LimitExceededError):
