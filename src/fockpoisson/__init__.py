@@ -12,10 +12,9 @@ over exact integer-coefficient polynomials in the deformation parameters
 fractions and the conditionally free closed form (fockpoisson.analytic).
 """
 
-from .poly import DeformParams, MultiPoly, NonIntegralLambdaExponentError
+from .poly import MultiPoly, NonIntegralLambdaExponentError
 from .partitions import (
     Family,
-    LimitExceededError,
     NCPartition,
     PartitionStats,
     SetPartition,
@@ -55,11 +54,9 @@ from . import analytic
 __version__ = "0.1.0"
 
 __all__ = [
-    "DeformParams",
     "MultiPoly",
     "NonIntegralLambdaExponentError",
     "Family",
-    "LimitExceededError",
     "NCPartition",
     "PartitionStats",
     "SetPartition",

@@ -5,7 +5,9 @@ first character is the factor applied first to the vacuum (the rightmost
 factor of the written operator product).
 
 Options match by full name only.  Only moments --engine nc|all and partitions
---list list partitions, under a size cap; counts come from a recursion.
+--list list partitions; counts come from a recursion.  The enumeration cap
+is a CLI rule: before any engine runs, a listing of NC(n) for n above
+FOCKPOISSON_MAX_N (default 18) is refused unless --force is given.
 
 Exit codes: 0 success; 1 cross-engine disagreement or failed relation check
 (a theorem-check failure, distinct from user error); 2 usage error; 3
@@ -16,11 +18,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import analytic, fock, moments, partitions, words
-from .partitions import Family, LimitExceededError
+from .partitions import Family
 from .poly import ONE, S, T, ZERO
 
 # First ten values of the lam = 1 conditionally free sequence, kept as a
@@ -29,12 +32,17 @@ CFREE_SEQUENCE_REFERENCE = (1, 2, 5, 14, 41, 123, 374, 1147, 3538, 10958)
 
 ENGINE_NAMES = ("nc", "blockwise", "jacobi", "operator")
 
+# Engines are looked up by module attribute at call time, so wrappers bound
+# to those attributes (tracing, tests) see every call.
 _ENGINE_FUNCS = {
-    "nc": lambda n, force, s, t: moments.moment_nc(n, n if force else None, s, t),
-    "blockwise": lambda n, force, s, t: moments.moment_blockwise(n, s, t),
-    "jacobi": lambda n, force, s, t: moments.moment_jacobi(n, s, t),
-    "operator": lambda n, force, s, t: fock.vacuum_moment(n, None, s, t),
+    "nc": lambda n, s, t: moments.moment_nc(n, s, t),
+    "blockwise": lambda n, s, t: moments.moment_blockwise(n, s, t),
+    "jacobi": lambda n, s, t: moments.moment_jacobi(n, s, t),
+    "operator": lambda n, s, t: fock.vacuum_moment(n, None, s, t),
 }
+
+DEFAULT_MAX_N = 18
+_ENV_CAP = "FOCKPOISSON_MAX_N"
 
 
 def _fraction(text: str) -> Fraction:
@@ -46,6 +54,25 @@ def _fraction(text: str) -> Fraction:
 
 def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _cap_exit(n: int, force: bool) -> int:
+    """0 if NC(n) may be listed; else report why not and return the exit
+    code: 2 for a non-integer FOCKPOISSON_MAX_N, 3 for n above the cap."""
+    if force:
+        return 0
+    raw = os.environ.get(_ENV_CAP, str(DEFAULT_MAX_N))
+    try:
+        cap = int(raw)
+    except ValueError:
+        print(f"error: {_ENV_CAP} must be an integer, got {raw!r}", file=sys.stderr)
+        return 2
+    if n <= cap:
+        return 0
+    print(f"error: n={n} exceeds the enumeration cap {cap}; Catalan growth makes "
+          f"this expensive (raise the cap with {_ENV_CAP})", file=sys.stderr)
+    print("pass --force to override the cap for this run", file=sys.stderr)
+    return 3
 
 
 def _add_st_flags(parser, with_lambda=True):
@@ -108,11 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_par = add_command("partitions", help="enumerate or count partition families")
     p_par.add_argument("--n", type=int, required=True)
     p_par.add_argument("--family", choices=[f.name for f in Family], default="NC")
-    p_par.add_argument("--list", action="store_true", help="list the members")
+    mode = p_par.add_mutually_exclusive_group()
+    mode.add_argument("--list", action="store_true", help="list the members")
+    mode.add_argument("--count-by-blocks", action="store_true",
+                      help="table of counts by number of blocks")
     p_par.add_argument("--stats", action="store_true",
                        help="with --list, include depths and weights")
-    p_par.add_argument("--count-by-blocks", action="store_true",
-                       help="table of counts by number of blocks")
     p_par.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     p_par.add_argument("--force", action="store_true",
                        help="with --list, override the enumeration size cap")
@@ -174,12 +202,15 @@ def _cmd_moments(args) -> int:
                   file=sys.stderr)
             return 2
 
-    s, t = _st_values(args, ONE, ZERO, S, T)
     engines = ENGINE_NAMES if args.engine == "all" else (args.engine,)
+    if "nc" in engines and (code := _cap_exit(args.nmax, args.force)):
+        return code
+
+    s, t = _st_values(args, ONE, ZERO, S, T)
     rows = []
     agree = True
     for n in range(1, args.nmax + 1):
-        values = {name: _ENGINE_FUNCS[name](n, args.force, s, t) for name in engines}
+        values = {name: _ENGINE_FUNCS[name](n, s, t) for name in engines}
         first = values[engines[0]]
         if any(v != first for v in values.values()):
             agree = False
@@ -249,6 +280,9 @@ def _cmd_partitions(args) -> int:
     if args.n < 1:
         print("error: --n must be >= 1", file=sys.stderr)
         return 2
+    if not args.list and (args.stats or args.force):
+        print("error: --stats and --force apply only with --list", file=sys.stderr)
+        return 2
     family = Family[args.family]
 
     if args.count_by_blocks:
@@ -267,9 +301,10 @@ def _cmd_partitions(args) -> int:
         return 0
 
     if args.list:
+        if code := _cap_exit(args.n, args.force):
+            return code
         items = []
-        max_n = args.n if args.force else None
-        for p in partitions.enumerate_family(args.n, family, max_n=max_n):
+        for p in partitions.enumerate_family(args.n, family):
             blocks = json.dumps(p.to_json_obj(), separators=(",", ":"))
             if args.stats:
                 st = p.stats()
@@ -464,12 +499,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except LimitExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("pass --force to override the cap for this run", file=sys.stderr)
-        return 3
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -174,14 +174,14 @@ def weight(p: NCPartition) -> MultiPoly:
     return MultiPoly.term(1, el=len(p.blocks), es=st.td1, et=st.td2)
 
 
-def moment_nc(n: int, max_n=None, s=S, t=T) -> MultiPoly:
+def moment_nc(n: int, s=S, t=T) -> MultiPoly:
     """Vacuum moment as the weight sum over all non-crossing partitions."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return ONE
     counts = {}
-    for p in enumerate_nc(n, max_n=max_n):
+    for p in enumerate_nc(n):
         st = stats(p)
         key = (len(p.blocks), st.td1, st.td2)
         counts[key] = counts.get(key, 0) + 1

@@ -7,48 +7,21 @@ statistics attached to a non-crossing partition are the per-block depths
 intermediate-element total td2 = sum over blocks of size >= 3 of
 (size - 2) * depth.
 
-The enumerator (under a size cap) and block_sums recurse on the block
-containing the first element; the gaps between its consecutive elements are
-partitioned independently, one level deeper.  The enumerator lists each
-non-crossing partition once in a fixed order; block_sums adds up per-block
+The enumerator and block_sums recurse on the block containing the first
+element; the gaps between its consecutive elements are partitioned
+independently, one level deeper.  The enumerator lazily lists each
+non-crossing partition once in a fixed order, with no size cap (NC(n) grows
+like Catalan(n); the CLI guards its listings); block_sums adds up per-block
 weights without listing any, and so counts the families.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
 from .poly import LAM
-
-DEFAULT_MAX_N = 18
-_ENV_CAP = "FOCKPOISSON_MAX_N"
-
-
-class LimitExceededError(RuntimeError):
-    """Enumeration request above the configured size cap."""
-
-
-def enumeration_cap() -> int:
-    """Current cap on the ground-set size for enumerations."""
-    raw = os.environ.get(_ENV_CAP)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"{_ENV_CAP} must be an integer, got {raw!r}") from None
-    return DEFAULT_MAX_N
-
-
-def _check_cap(n: int, max_n) -> None:
-    cap = max_n if max_n is not None else enumeration_cap()
-    if n > cap:
-        raise LimitExceededError(
-            f"n={n} exceeds the enumeration cap {cap}; Catalan growth makes this "
-            f"expensive (override with max_n or {_ENV_CAP})"
-        )
 
 
 class SetPartition:
@@ -62,6 +35,8 @@ class SetPartition:
         for b in blocks:
             if not b:
                 raise ValueError("empty block")
+            if any(type(x) is not int for x in b):
+                raise ValueError(f"block {b} has an element that is not an integer")
             if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
                 raise ValueError(f"block {b} is not strictly increasing")
             seen.update(b)
@@ -204,11 +179,10 @@ def _nc_blocks(elems):
                 yield (block,) + combo
 
 
-def enumerate_nc(n: int, max_n=None):
+def enumerate_nc(n: int):
     """Yield every non-crossing partition of [n] once, in a fixed order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_cap(n, max_n)
     for blocks in _nc_blocks(tuple(range(1, n + 1))):
         yield NCPartition._trusted(n, blocks)
 
@@ -232,10 +206,10 @@ _INNER_OK = {
 }
 
 
-def enumerate_family(n: int, family: Family, max_n=None):
+def enumerate_family(n: int, family: Family):
     """Yield the members of the requested restricted family of NC(n)."""
     ok = _INNER_OK[family]
-    for p in enumerate_nc(n, max_n=max_n):
+    for p in enumerate_nc(n):
         if all(d == 0 or ok(len(b)) for b, d in zip(p.blocks, stats(p).block_depths)):
             yield p
 

@@ -15,7 +15,6 @@ never stored, so ``==`` on term maps is a reliable polynomial identity test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -32,31 +31,6 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
-@dataclass(frozen=True)
-class DeformParams:
-    """Numeric deformation parameters: lambda > 0, s and t in (0, 1].
-
-    The degenerate values s = 0 and t = 0 are deliberately not representable
-    here; for those limits the engines take ZERO (or ONE for s = 1, t = 1)
-    in place of s or t and substitute it before computing.
-    """
-
-    lam: Fraction
-    s: Fraction
-    t: Fraction
-
-    def __init__(self, lam, s=Fraction(1), t=Fraction(1)):
-        object.__setattr__(self, "lam", _as_fraction(lam))
-        object.__setattr__(self, "s", _as_fraction(s))
-        object.__setattr__(self, "t", _as_fraction(t))
-        if not self.lam > 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
-        if not 0 < self.s <= 1:
-            raise ValueError(f"s must lie in (0, 1], got {self.s}")
-        if not 0 < self.t <= 1:
-            raise ValueError(f"t must lie in (0, 1], got {self.t}")
 
 
 def _exact_sqrt(q: Fraction):
@@ -233,9 +207,6 @@ class MultiPoly:
                 part = sqrt_lam**el2
             total += coeff * part * s**es * t**et
         return total
-
-    def eval_params(self, params: DeformParams) -> Fraction:
-        return self.eval(params.lam, params.s, params.t)
 
     def specialize_zero(self, kill_s: bool = False, kill_t: bool = False) -> "MultiPoly":
         """Take the s -> 0 and/or t -> 0 limit by dropping positive powers.

@@ -162,6 +162,13 @@ def test_words_bad_input(capsys):
     assert code == 2 and "crossing" in err
 
 
+@pytest.mark.parametrize("blocks", ["[[1.0,2.0],[3.0]]", "[[true]]"])
+def test_words_non_integer_partition_elements(capsys, blocks):
+    code, out, err = run(capsys, "words", "--from-partition", blocks)
+    assert code == 2 and out == ""
+    assert "not an integer" in err
+
+
 def test_partitions_count_and_list(capsys):
     code, out, _ = run(capsys, "partitions", "--n", "4")
     assert code == 0 and out == "14\n"
@@ -198,6 +205,56 @@ def test_partitions_cap_exit_code(capsys):
     code, _, err = run(capsys, "partitions", "--n", "19", "--list")
     assert code == 3
     assert "--force" in err
+
+
+@pytest.fixture
+def no_engines(monkeypatch):
+    """Make the enumerator and every moment engine raise if called."""
+    from fockpoisson import fock, moments, partitions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine ran")
+
+    for module, name in ((partitions, "enumerate_nc"), (partitions, "enumerate_family"),
+                         (moments, "enumerate_nc"), (moments, "moment_nc"),
+                         (moments, "moment_blockwise"), (moments, "moment_jacobi"),
+                         (fock, "vacuum_moment")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.delenv("FOCKPOISSON_MAX_N", raising=False)
+    return monkeypatch
+
+
+@pytest.mark.parametrize("argv", [
+    ("moments", "--nmax", "19"),
+    ("moments", "--engine", "nc", "--nmax", "19"),
+    ("partitions", "--n", "19", "--list"),
+])
+def test_enumeration_cap_refuses_before_any_engine(capsys, no_engines, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "exceeds the enumeration cap 18" in err and "--force" in err
+
+
+def test_enumeration_cap_skips_engines_that_do_not_list(capsys, no_engines):
+    from fockpoisson import moments
+    from fockpoisson.poly import MultiPoly
+
+    no_engines.setattr(moments, "moment_jacobi", lambda n, s, t: MultiPoly.const(n))
+    code, out, _ = run(capsys, "moments", "--engine", "jacobi", "--nmax", "19")
+    assert code == 0
+    assert out.splitlines()[-1] == "m_19 = 19"
+
+
+def test_enumeration_cap_from_environment(capsys, monkeypatch):
+    monkeypatch.setenv("FOCKPOISSON_MAX_N", "3")
+    code, out, err = run(capsys, "partitions", "--n", "4", "--list")
+    assert code == 3 and out == "" and "cap 3" in err
+    code, out, _ = run(capsys, "partitions", "--n", "3", "--list")
+    assert code == 0 and len(out.splitlines()) == 5
+    monkeypatch.setenv("FOCKPOISSON_MAX_N", "junk")
+    code, out, err = run(capsys, "partitions", "--n", "3", "--list")
+    assert code == 2 and out == ""
+    assert "FOCKPOISSON_MAX_N must be an integer" in err
 
 
 def test_partitions_count_beyond_enumeration_cap(capsys):
@@ -283,7 +340,7 @@ def test_engine_disagreement_exits_one(capsys, monkeypatch):
     from fockpoisson.poly import MultiPoly
 
     broken = dict(cli._ENGINE_FUNCS)
-    broken["jacobi"] = lambda n, force, s, t: MultiPoly.const(n)  # wrong on purpose
+    broken["jacobi"] = lambda n, s, t: MultiPoly.const(n)  # wrong on purpose
     monkeypatch.setattr(cli, "_ENGINE_FUNCS", broken)
     code, out, _ = run(capsys, "moments", "--nmax", "2", "--engine", "all")
     assert code == 1
@@ -306,10 +363,16 @@ def test_usage_errors_exit_two(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["cauchy", "--s", "1/2", "--s-one"])  # mutually exclusive
-    assert exc.value.code == 2
+    for argv in (["cauchy", "--s", "1/2", "--s-one"],  # mutually exclusive
+                 ["partitions", "--n", "4", "--list", "--count-by-blocks"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
+    for flag in ("--stats", "--force"):  # these apply only with --list
+        code, out, err = run(capsys, "partitions", "--n", "4", flag)
+        assert code == 2 and out == ""
+        assert "only with --list" in err
 
 
 def test_determinism(capsys):

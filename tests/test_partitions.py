@@ -1,9 +1,7 @@
 import pytest
 
 from fockpoisson.partitions import (
-    DEFAULT_MAX_N,
     Family,
-    LimitExceededError,
     NCPartition,
     SetPartition,
     count_by_blocks,
@@ -190,24 +188,8 @@ def test_counting_never_enumerates(monkeypatch, capsys):
     assert cli.main(["moments", "--engine", "blockwise", "--nmax", "8"]) == 0
 
 
-def test_limit_exceeded_and_override():
-    assert DEFAULT_MAX_N == 18
-    with pytest.raises(LimitExceededError):
-        next(enumerate_nc(19))
-    gen = enumerate_nc(19, max_n=19)
-    assert next(gen).blocks == ((1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,),
-                                (9,), (10,), (11,), (12,), (13,), (14,), (15,),
-                                (16,), (17,), (18,), (19,))
-
-
-def test_env_var_cap(monkeypatch):
-    monkeypatch.setenv("FOCKPOISSON_MAX_N", "3")
-    with pytest.raises(LimitExceededError):
-        next(enumerate_nc(4))
-    assert sum(1 for _ in enumerate_nc(3)) == 5
-    monkeypatch.setenv("FOCKPOISSON_MAX_N", "junk")
-    with pytest.raises(ValueError):
-        next(enumerate_nc(2))
+def test_enumerate_nc_has_no_cap():
+    assert next(enumerate_nc(19)).blocks == tuple((i,) for i in range(1, 20))
 
 
 def test_json_serialization():

@@ -10,7 +10,6 @@ from fockpoisson.poly import (
     SQRT_LAM,
     T,
     ZERO,
-    DeformParams,
     MultiPoly,
     NonIntegralLambdaExponentError,
 )
@@ -166,19 +165,3 @@ def test_specialize_zero_matches_numeric_limit():
         limit = p.specialize_zero(kill_s=True, kill_t=True).eval(x, 1, 1)
         approx = p.eval(x, eps, eps)
         assert abs(approx - limit) <= max(Fraction(1), abs(limit)) * Fraction(1, 10**4)
-
-
-def test_deform_params_validation():
-    p = DeformParams(Fraction(3, 2), Fraction(1, 2), 1)
-    assert p.lam == Fraction(3, 2) and p.s == Fraction(1, 2) and p.t == 1
-    q = DeformParams("2", "1/3", "1/7")
-    assert q.t == Fraction(1, 7)
-    for bad in [dict(lam=0), dict(lam=1, s=0), dict(lam=1, t=Fraction(3, 2)), dict(lam=-1)]:
-        with pytest.raises(ValueError):
-            DeformParams(**bad)
-
-
-def test_eval_params():
-    p = LAM + S + T
-    v = DeformParams(2, Fraction(1, 2), Fraction(1, 4))
-    assert p.eval_params(v) == Fraction(11, 4)
