@@ -11,7 +11,10 @@ index 0 being the vacuum.  The four generators act as
 and the Poisson operator is  intermediate + sqrt(l)*(creation + annihilation)
 + l*scalar.  Vacuum moments are the (0, 0) entries of its powers; truncating
 at N = n is exact for the n-th moment because n factors starting from the
-vacuum never reach level n+1.
+vacuum never reach level n+1.  The walk is trimmed further: after k of the n
+steps, a level above n - k is more steps down than remain, so nothing there
+returns to the vacuum, and vacuum_moment keeps only the levels
+<= min(k, n - k) of its vector.
 """
 
 from __future__ import annotations
@@ -81,14 +84,20 @@ class FockMatrix:
         return out
 
     def apply(self, vec):
-        """Matrix-vector product over MultiPoly entries."""
-        out = [ZERO] * self.dim
-        for i in range(self.dim):
+        """Matrix-vector product over MultiPoly entries, a list of dim entries.
+
+        vec may be shorter than dim; its missing entries are zero.  Only
+        entries where both the matrix and the vector are nonzero are
+        multiplied, so a band matrix times a short vector costs the band.
+        """
+        out = []
+        for row in self.entries:
             acc = ZERO
-            for j, x in enumerate(vec):
-                if x and self.entries[i][j]:
-                    acc = acc + self.entries[i][j] * x
-            out[i] = acc
+            for a, x in zip(row, vec):
+                if a and x:
+                    term = a * x
+                    acc = acc + term if acc else term
+            out.append(acc)
         return out
 
     def entry(self, i: int, j: int) -> MultiPoly:
@@ -144,9 +153,9 @@ def vacuum_moment(n: int, N=None, s=S, t=T) -> MultiPoly:
     if N < n:
         raise ValueError("truncation below n is not exact")
     P = poisson_matrix(N, s, t)
-    vec = [ONE] + [ZERO] * N
-    for _ in range(n):
-        vec = P.apply(vec)
+    vec = [ONE]
+    for k in range(1, n + 1):
+        vec = P.apply(vec)[: min(k, n - k) + 1]
     return vec[0]
 
 

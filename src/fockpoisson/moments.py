@@ -135,7 +135,7 @@ def ortho_polys(nmax: int):
     if nmax == 0:
         return polys
     polys.append(XPoly([-LAM, ONE]))
-    jp = jacobi(nmax) if nmax >= 1 else None
+    jp = jacobi(nmax)
     for n in range(1, nmax):
         # C_{n+1} = (x - alpha_{n+1}) * C_n - omega_n * C_{n-1}
         recent = polys[n]
@@ -148,20 +148,31 @@ def ortho_polys(nmax: int):
 
 
 def moment_jacobi(n: int, s=S, t=T) -> MultiPoly:
-    """Vacuum moment as the (0,0) entry of the n-th monic Jacobi matrix power."""
+    """Vacuum moment as the (0,0) entry of the n-th monic Jacobi matrix power.
+
+    The entry is a sum over Motzkin paths from level 0 back to level 0
+    (Flajolet 1980).  After step k of n a path is at a level <= k, and it can
+    still return only from a level <= n - k, so step k computes levels
+    0..min(k, n - k) alone; the dropped levels carry no path that ends at 0,
+    so the result is exact, and the walk never goes above level n // 2.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return ONE
-    jp = jacobi(n + 1, LAM, s, t)
-    vec = [ONE] + [ZERO] * n
-    for _ in range(n):
+    jp = jacobi(n // 2 + 1, LAM, s, t)
+    vec = [ONE]
+    for k in range(1, n + 1):
+        top = len(vec) - 1
         new = []
-        for i in range(n + 1):
+        for i in range(min(k, n - k) + 1):
+            if i > top:  # a level first reached now, by a step up alone
+                new.append(vec[i - 1])
+                continue
             acc = jp.alpha[i] * vec[i]
-            if i > 0 and vec[i - 1]:
+            if i > 0:
                 acc = acc + vec[i - 1]
-            if i < n and vec[i + 1]:
+            if i < top:
                 acc = acc + jp.omega[i] * vec[i + 1]
             new.append(acc)
         vec = new

@@ -3,8 +3,7 @@ import json
 import pytest
 
 from fockpoisson.cli import main
-from fockpoisson.moments import moment_jacobi
-from fockpoisson.poly import ONE, ZERO
+from fockpoisson.moments import cfree_moments
 
 MOMENTS_CFREE_PLAIN = """\
 m_1 = l
@@ -98,7 +97,8 @@ def test_sequence(capsys):
 def test_sequence_beyond_enumeration_cap(capsys):
     code, out, _ = run(capsys, "sequence", "--nmax", "25")
     assert code == 0
-    expected = [moment_jacobi(n, ONE, ZERO).eval(1, 1, 1) for n in range(1, 26)]
+    table = cfree_moments(25)
+    expected = [table.m[n].eval(1, 1, 1) for n in range(1, 26)]
     assert [int(v) for v in out.split()] == expected
 
 
@@ -160,6 +160,19 @@ def test_words_bad_input(capsys):
     assert code == 2 and "invalid word letter" in err
     code, _, err = run(capsys, "words", "--from-partition", "[[1,3],[2,4]]")
     assert code == 2 and "crossing" in err
+
+
+@pytest.mark.parametrize("blocks", ['{}', '""', '{"ab": 1}', "[1,2]", "[[1],2]", "null"])
+def test_words_partition_json_must_be_an_array_of_arrays(capsys, blocks):
+    code, out, err = run(capsys, "words", "--from-partition", blocks)
+    assert code == 2 and out == ""
+    assert "expected a JSON array of arrays" in err
+
+
+def test_words_empty_partition(capsys):
+    code, out, _ = run(capsys, "words", "--from-partition", "[]")
+    assert code == 0
+    assert "admissible: yes" in out
 
 
 @pytest.mark.parametrize("blocks", ["[[1.0,2.0],[3.0]]", "[[true]]"])

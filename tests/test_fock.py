@@ -73,10 +73,28 @@ def test_vacuum_moment_matches_nc_oracle():
 
 
 def test_truncation_stability():
-    for n in range(0, 11):
+    for n in (*range(0, 11), 15, 16):
         assert vacuum_moment(n) == vacuum_moment(n, N=max(n, 1) + 3)
     with pytest.raises(ValueError):
         vacuum_moment(4, N=3)
+
+
+def test_trimmed_walk_matches_dense_powers():
+    # the (0,0) entry of the full matrix power, no level dropped
+    for n in range(1, 8):
+        P = poisson_matrix(n + 3)
+        power = P
+        for _ in range(n - 1):
+            power = power @ P
+        assert vacuum_moment(n) == power.entry(0, 0)
+
+
+def test_apply_reads_missing_vector_entries_as_zero():
+    P = poisson_matrix(5)
+    short = [ONE, SQRT_LAM, ZERO, LAM]
+    assert P.apply(short) == P.apply(short + [ZERO] * 2)
+    assert len(P.apply(short)) == P.dim
+    assert P.apply([]) == [ZERO] * P.dim
 
 
 def test_check_relations():

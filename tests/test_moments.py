@@ -106,6 +106,19 @@ def test_moment_blockwise_equals_jacobi_beyond_enumeration():
         assert moment_blockwise(n) == moment_jacobi(n)
 
 
+def test_engines_agree_at_n20():
+    a = moment_jacobi(20)
+    assert fock.vacuum_moment(20) == a
+    assert moment_blockwise(20) == a
+
+
+@pytest.mark.parametrize("s, t", [(ONE, ZERO), (ZERO, ZERO)], ids=["cfree", "boolean"])
+def test_engines_agree_at_n24_in_the_limits(s, t):
+    a = moment_jacobi(24, s, t)
+    assert fock.vacuum_moment(24, None, s, t) == a
+    assert moment_blockwise(24, s, t) == a
+
+
 def test_engines_agree_through_n8():
     for n in range(0, 9):
         a = moment_nc(n)
