@@ -32,13 +32,21 @@ from .words import (
     arrangement,
     render_ascii,
 )
-from .fock import FockMatrix, build_generators, check_relations, poisson_matrix, vacuum_moment
+from .fock import (
+    FockMatrix,
+    build_generators,
+    check_relations,
+    poisson_matrix,
+    vacuum_moment,
+    vacuum_moments,
+)
 from .moments import (
     DegreeOutOfRangeError,
     JacobiParams,
     LimitCase,
     MomentTable,
     XPoly,
+    blockwise_moments,
     cfree_moments,
     jacobi,
     limit_case,
@@ -76,11 +84,13 @@ __all__ = [
     "check_relations",
     "poisson_matrix",
     "vacuum_moment",
+    "vacuum_moments",
     "DegreeOutOfRangeError",
     "JacobiParams",
     "LimitCase",
     "MomentTable",
     "XPoly",
+    "blockwise_moments",
     "cfree_moments",
     "jacobi",
     "limit_case",

@@ -32,13 +32,16 @@ CFREE_SEQUENCE_REFERENCE = (1, 2, 5, 14, 41, 123, 374, 1147, 3538, 10958)
 
 ENGINE_NAMES = ("nc", "blockwise", "jacobi", "operator")
 
-# Engines are looked up by module attribute at call time, so wrappers bound
-# to those attributes (tracing, tests) see every call.
-_ENGINE_FUNCS = {
-    "nc": lambda n, s, t: moments.moment_nc(n, s, t),
-    "blockwise": lambda n, s, t: moments.moment_blockwise(n, s, t),
-    "jacobi": lambda n, s, t: moments.moment_jacobi(n, s, t),
-    "operator": lambda n, s, t: fock.vacuum_moment(n, None, s, t),
+# Each engine maps (nmax, s, t) to the table [m_0, ..., m_nmax].  Engines are
+# looked up by module attribute at call time, so wrappers bound to those
+# attributes (tracing, tests) see every call.  nc, the small-n oracle, runs
+# once per row.
+_ENGINE_TABLES = {
+    "nc": lambda nmax, s, t: [moments.moment_nc(n, s, t) for n in range(nmax + 1)],
+    "blockwise": lambda nmax, s, t: moments.blockwise_moments(nmax, s, t),
+    # per row while bench/tracing.py reads its loop ops from moment_jacobi's span
+    "jacobi": lambda nmax, s, t: [moments.moment_jacobi(n, s, t) for n in range(nmax + 1)],
+    "operator": lambda nmax, s, t: fock.vacuum_moments(nmax, None, s, t),
 }
 
 DEFAULT_MAX_N = 18
@@ -207,14 +210,9 @@ def _cmd_moments(args) -> int:
         return code
 
     s, t = _st_values(args, ONE, ZERO, S, T)
-    rows = []
-    agree = True
-    for n in range(1, args.nmax + 1):
-        values = {name: _ENGINE_FUNCS[name](n, s, t) for name in engines}
-        first = values[engines[0]]
-        if any(v != first for v in values.values()):
-            agree = False
-        rows.append((n, first))
+    tables = [_ENGINE_TABLES[name](args.nmax, s, t) for name in engines]
+    agree = all(table[1:] == tables[0][1:] for table in tables)
+    rows = list(enumerate(tables[0]))[1:]
 
     out = []
     if args.format == "plain":
@@ -258,10 +256,10 @@ def _cmd_sequence(args) -> int:
     if args.nmax < 1:
         print("error: --nmax must be >= 1", file=sys.stderr)
         return 2
-    # s = 1, t -> 0 substituted into the Jacobi walk; cfree_moments, the
-    # partition count, is the tests' oracle for these values
-    values = [int(moments.moment_jacobi(n, ONE, ZERO).eval(1, 1, 1))
-              for n in range(1, args.nmax + 1)]
+    # l = 1, s = 1, t -> 0 substituted into one Jacobi walk over the integers;
+    # cfree_moments, the partition count, is the tests' oracle for these values
+    jp = moments.jacobi(args.nmax // 2 + 1, 1, 1, 0)
+    values = moments.motzkin_walk(jp, args.nmax, 1)[1:]
     upto = min(args.nmax, len(CFREE_SEQUENCE_REFERENCE))
     matches = tuple(values[:upto]) == CFREE_SEQUENCE_REFERENCE[:upto]
     if args.format == "plain":
@@ -284,6 +282,9 @@ def _cmd_partitions(args) -> int:
         return 2
     if not args.list and (args.stats or args.force):
         print("error: --stats and --force apply only with --list", file=sys.stderr)
+        return 2
+    if args.list and args.format == "csv":
+        print("error: --list has no csv format; use plain or json", file=sys.stderr)
         return 2
     family = Family[args.family]
 

@@ -13,8 +13,10 @@ and the Poisson operator is  intermediate + sqrt(l)*(creation + annihilation)
 at N = n is exact for the n-th moment because n factors starting from the
 vacuum never reach level n+1.  The walk is trimmed further: after k of the n
 steps, a level above n - k is more steps down than remain, so nothing there
-returns to the vacuum, and vacuum_moment keeps only the levels
-<= min(k, n - k) of its vector.
+returns to the vacuum, and vacuum_moments computes only the levels
+<= min(k, n - k) of its vector.  A path of length k <= n that returns to the
+vacuum stays within that window, so the vacuum entry after step k is exactly
+m_k, and one walk gives the whole table m_0..m_n.
 """
 
 from __future__ import annotations
@@ -83,15 +85,16 @@ class FockMatrix:
                         out.entries[i][j] = out.entries[i][j] + a * b
         return out
 
-    def apply(self, vec):
-        """Matrix-vector product over MultiPoly entries, a list of dim entries.
+    def apply(self, vec, rows=None):
+        """The first rows entries (default: all dim) of the matrix-vector
+        product over MultiPoly entries; only those rows are computed.
 
         vec may be shorter than dim; its missing entries are zero.  Only
         entries where both the matrix and the vector are nonzero are
         multiplied, so a band matrix times a short vector costs the band.
         """
         out = []
-        for row in self.entries:
+        for row in self.entries[:rows]:
             acc = ZERO
             for a, x in zip(row, vec):
                 if a and x:
@@ -142,21 +145,29 @@ def poisson_matrix(N: int, s=S, t=T) -> FockMatrix:
     return intermediate + (creation + annihilation).scale(SQRT_LAM) + scalar.scale(LAM)
 
 
-def vacuum_moment(n: int, N=None, s=S, t=T) -> MultiPoly:
-    """(0,0) entry of the n-th power of the Poisson operator, truncated at N (default n)."""
+def vacuum_moments(n: int, N=None, s=S, t=T) -> list:
+    """[m_0, ..., m_n], the (0,0) entries of the Poisson operator's powers
+    0..n truncated at N (default n), from one walk from the vacuum."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        return ONE
+        return [ONE]
     if N is None:
         N = n
     if N < n:
         raise ValueError("truncation below n is not exact")
     P = poisson_matrix(N, s, t)
     vec = [ONE]
+    table = [ONE]
     for k in range(1, n + 1):
-        vec = P.apply(vec)[: min(k, n - k) + 1]
-    return vec[0]
+        vec = P.apply(vec, min(k, n - k) + 1)
+        table.append(vec[0])
+    return table
+
+
+def vacuum_moment(n: int, N=None, s=S, t=T) -> MultiPoly:
+    """(0,0) entry of the n-th power of the Poisson operator, truncated at N (default n)."""
+    return vacuum_moments(n, N, s, t)[n]
 
 
 def check_relations(N: int):

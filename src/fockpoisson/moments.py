@@ -12,7 +12,9 @@ Three independent routes compute the same moment polynomial m_n(l, s, t):
 
 with the operator engine in fockpoisson.fock as a fourth.  Exact agreement of
 all four is the package's central cross-check and is wired into the test
-suite and the CLI's all-engines mode.
+suite and the CLI's all-engines mode.  blockwise_moments, motzkin_walk and
+fock.vacuum_moments give a whole table m_0..m_n from one recursion or walk;
+the single-row functions are its last entry.
 
 Limits are substitutions made before computing: every engine takes the
 values of s and t, by default the variables S and T, and ONE or ZERO in
@@ -147,21 +149,19 @@ def ortho_polys(nmax: int):
 # -- the three moment engines -----------------------------------------------
 
 
-def moment_jacobi(n: int, s=S, t=T) -> MultiPoly:
-    """Vacuum moment as the (0,0) entry of the n-th monic Jacobi matrix power.
+def motzkin_walk(jp: JacobiParams, n: int, one) -> list:
+    """[m_0, ..., m_n] from one walk over the levels of the Jacobi matrix of
+    jp, in the ring whose unit is one (ONE for MultiPoly, 1 for int).
 
-    The entry is a sum over Motzkin paths from level 0 back to level 0
-    (Flajolet 1980).  After step k of n a path is at a level <= k, and it can
-    still return only from a level <= n - k, so step k computes levels
-    0..min(k, n - k) alone; the dropped levels carry no path that ends at 0,
-    so the result is exact, and the walk never goes above level n // 2.
+    m_k is a sum over Motzkin paths from level 0 back to level 0 (Flajolet
+    1980).  After step k of n a path is at a level <= k, and it can still
+    return only from a level <= n - k, so step k computes levels
+    0..min(k, n - k) alone.  The dropped levels carry no path of length
+    <= n that ends at 0, so level 0 after step k is exactly m_k, and the walk
+    never goes above level n // 2; jp must reach level n // 2 + 1.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return ONE
-    jp = jacobi(n // 2 + 1, LAM, s, t)
-    vec = [ONE]
+    vec = [one]
+    table = [one]
     for k in range(1, n + 1):
         top = len(vec) - 1
         new = []
@@ -176,7 +176,17 @@ def moment_jacobi(n: int, s=S, t=T) -> MultiPoly:
                 acc = acc + jp.omega[i] * vec[i + 1]
             new.append(acc)
         vec = new
-    return vec[0]
+        table.append(vec[0])
+    return table
+
+
+def moment_jacobi(n: int, s=S, t=T) -> MultiPoly:
+    """Vacuum moment as the (0,0) entry of the n-th monic Jacobi matrix power."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return ONE
+    return motzkin_walk(jacobi(n // 2 + 1, LAM, s, t), n, ONE)[n]
 
 
 def weight(p: NCPartition) -> MultiPoly:
@@ -199,14 +209,20 @@ def moment_nc(n: int, s=S, t=T) -> MultiPoly:
     return sum((c * LAM**k * s**es * t**et for (k, es, et), c in counts.items()), ZERO)
 
 
-def moment_blockwise(n: int, s=S, t=T) -> MultiPoly:
-    """Vacuum moment as the sum of per-block products, by the first-block
+def blockwise_moments(n: int, s=S, t=T) -> list:
+    """[m_0, ..., m_n] as sums of per-block products, from one first-block
     recursion: a block of size k at depth d weighs l * s^d * t^((k-2)*d)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        return ONE
-    return block_sums(n, lambda k, d: LAM * s**d * t ** (max(k - 2, 0) * d))[n]
+        return [ONE]
+    ms = block_sums(n, lambda k, d: LAM * s**d * t ** (max(k - 2, 0) * d))
+    return [ONE, *ms[1:]]
+
+
+def moment_blockwise(n: int, s=S, t=T) -> MultiPoly:
+    """Vacuum moment as the sum of per-block products (see blockwise_moments)."""
+    return blockwise_moments(n, s, t)[n]
 
 
 # -- moment tables and the functional ----------------------------------------

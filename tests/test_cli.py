@@ -214,6 +214,14 @@ def test_partitions_csv_counts(capsys):
     assert out.splitlines() == ["blocks,count", "1,1", "2,3", "3,1"]
 
 
+@pytest.mark.parametrize("extra", [(), ("--stats",)], ids=["list", "list-stats"])
+def test_partitions_list_has_no_csv(capsys, extra):
+    code, out, err = run(capsys, "partitions", "--n", "3", "--list", *extra,
+                         "--format", "csv")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "no csv format" in err
+
+
 def test_partitions_cap_exit_code(capsys):
     code, _, err = run(capsys, "partitions", "--n", "19", "--list")
     assert code == 3
@@ -230,8 +238,9 @@ def no_engines(monkeypatch):
 
     for module, name in ((partitions, "enumerate_nc"), (partitions, "enumerate_family"),
                          (moments, "enumerate_nc"), (moments, "moment_nc"),
-                         (moments, "moment_blockwise"), (moments, "moment_jacobi"),
-                         (fock, "vacuum_moment")):
+                         (moments, "moment_blockwise"), (moments, "blockwise_moments"),
+                         (moments, "moment_jacobi"), (moments, "motzkin_walk"),
+                         (fock, "vacuum_moment"), (fock, "vacuum_moments")):
         monkeypatch.setattr(module, name, refuse)
     monkeypatch.delenv("FOCKPOISSON_MAX_N", raising=False)
     return monkeypatch
@@ -352,9 +361,10 @@ def test_engine_disagreement_exits_one(capsys, monkeypatch):
     import fockpoisson.cli as cli
     from fockpoisson.poly import MultiPoly
 
-    broken = dict(cli._ENGINE_FUNCS)
-    broken["jacobi"] = lambda n, s, t: MultiPoly.const(n)  # wrong on purpose
-    monkeypatch.setattr(cli, "_ENGINE_FUNCS", broken)
+    broken = dict(cli._ENGINE_TABLES)
+    # wrong on purpose
+    broken["jacobi"] = lambda nmax, s, t: [MultiPoly.const(n) for n in range(nmax + 1)]
+    monkeypatch.setattr(cli, "_ENGINE_TABLES", broken)
     code, out, _ = run(capsys, "moments", "--nmax", "2", "--engine", "all")
     assert code == 1
     assert "ENGINE DISAGREEMENT" in out

@@ -6,8 +6,9 @@ from fockpoisson.fock import (
     check_relations,
     poisson_matrix,
     vacuum_moment,
+    vacuum_moments,
 )
-from fockpoisson.poly import LAM, ONE, SQRT_LAM, ZERO, MultiPoly
+from fockpoisson.poly import LAM, ONE, SQRT_LAM, S, T, ZERO, MultiPoly
 
 from oracles import nc_bruteforce, weight_exponents
 
@@ -75,6 +76,7 @@ def test_vacuum_moment_matches_nc_oracle():
 def test_truncation_stability():
     for n in (*range(0, 11), 15, 16):
         assert vacuum_moment(n) == vacuum_moment(n, N=max(n, 1) + 3)
+        assert vacuum_moments(n) == vacuum_moments(n, N=n + 3)
     with pytest.raises(ValueError):
         vacuum_moment(4, N=3)
 
@@ -95,6 +97,14 @@ def test_apply_reads_missing_vector_entries_as_zero():
     assert P.apply(short) == P.apply(short + [ZERO] * 2)
     assert len(P.apply(short)) == P.dim
     assert P.apply([]) == [ZERO] * P.dim
+
+
+def test_apply_row_limit_equals_the_slice():
+    P = poisson_matrix(5)
+    for vec in ([], [ONE, SQRT_LAM, ZERO, LAM], [LAM, ONE, S, T, ZERO, SQRT_LAM]):
+        full = P.apply(vec)
+        for rows in range(P.dim + 1):
+            assert P.apply(vec, rows) == full[:rows], (vec, rows)
 
 
 def test_check_relations():

@@ -9,6 +9,7 @@ from fockpoisson.moments import (
     LimitCase,
     MomentTable,
     XPoly,
+    blockwise_moments,
     cfree_moments,
     jacobi,
     limit_case,
@@ -17,6 +18,7 @@ from fockpoisson.moments import (
     moment_jacobi,
     moment_nc,
     moment_table,
+    motzkin_walk,
     ortho_polys,
     weight,
 )
@@ -107,9 +109,11 @@ def test_moment_blockwise_equals_jacobi_beyond_enumeration():
 
 
 def test_engines_agree_at_n20():
-    a = moment_jacobi(20)
-    assert fock.vacuum_moment(20) == a
-    assert moment_blockwise(20) == a
+    # every row of the one-walk tables, against moment_jacobi row by row
+    rows = [moment_jacobi(k) for k in range(21)]
+    assert fock.vacuum_moments(20) == rows
+    assert blockwise_moments(20) == rows
+    assert motzkin_walk(jacobi(11), 20, ONE) == rows
 
 
 @pytest.mark.parametrize("s, t", [(ONE, ZERO), (ZERO, ZERO)], ids=["cfree", "boolean"])
@@ -117,6 +121,16 @@ def test_engines_agree_at_n24_in_the_limits(s, t):
     a = moment_jacobi(24, s, t)
     assert fock.vacuum_moment(24, None, s, t) == a
     assert moment_blockwise(24, s, t) == a
+
+
+SUBSTITUTIONS = [(s, t) for s in (S, ONE, ZERO) for t in (T, ONE, ZERO) if (s, t) != (S, T)]
+
+
+@pytest.mark.parametrize("s, t", SUBSTITUTIONS)
+def test_tables_match_moment_jacobi_under_substitution(s, t):
+    rows = [moment_jacobi(k, s, t) for k in range(13)]
+    assert fock.vacuum_moments(12, None, s, t) == rows
+    assert blockwise_moments(12, s, t) == rows
 
 
 def test_engines_agree_through_n8():
@@ -131,11 +145,9 @@ def test_engines_agree_through_n8():
     "engine", [moment_nc, moment_blockwise, moment_jacobi, fock.vacuum_moment],
     ids=["nc", "blockwise", "jacobi", "operator"])
 def test_substitution_commutes_with_every_engine(engine):
-    substitutions = [(s, t) for s in (S, ONE, ZERO) for t in (T, ONE, ZERO)
-                     if (s, t) != (S, T)]
     for n in range(0, 9):
         full = engine(n)
-        for s, t in substitutions:
+        for s, t in SUBSTITUTIONS:
             expected = full.specialize_zero(kill_s=s == ZERO, kill_t=t == ZERO)
             expected = expected.specialize_one(s=s == ONE, t=t == ONE)
             assert engine(n, s=s, t=t) == expected, (n, s, t)
