@@ -4,7 +4,11 @@ The Cauchy transform of the deformed Poisson distribution is evaluated as a
 finite continued fraction over moments.jacobi's recurrence coefficients at
 float parameters, bottom-up from a terminal tail z - alpha_depth.  Limits
 are the float values 0 and 1 of s and t (with 0.0**0 = 1.0), just as the
-exact layer substitutes ZERO and ONE.
+exact layer substitutes ZERO and ONE.  cauchy_cf is the single-point
+function: it builds the coefficients with jacobi_floats and evaluates one
+continued_fraction.  The CLI's cauchy command builds them once per command
+and evaluates every grid point with continued_fraction, with the same
+result as cauchy_cf at each point.
 
 The s = 1, t -> 0 case also has a closed form: G(z) is a root of
 
@@ -51,7 +55,12 @@ def continued_fraction(z: complex, alphas, omegas) -> complex:
 
 
 def cauchy_cf(z: complex, lam: float, s: float, t: float, depth: int) -> complex:
-    """Cauchy transform by depth-truncated continued fraction, Im z > 0."""
+    """Cauchy transform by depth-truncated continued fraction, Im z > 0.
+
+    Builds the coefficients for this one point; to evaluate many points,
+    build them once with jacobi_floats and call continued_fraction per
+    point, as the CLI's cauchy command does.
+    """
     if z.imag <= 0:
         raise DomainError("z must lie in the upper half-plane")
     if depth < 1:

@@ -332,6 +332,9 @@ def _cmd_partitions(args) -> int:
     total = sum(partitions.count_by_blocks(args.n, family))
     if args.format == "json":
         print(json.dumps({"n": args.n, "family": family.name, "count": total}))
+    elif args.format == "csv":
+        print("n,family,count")
+        print(f"{args.n},{family.name},{total}")
     else:
         print(total)
     return 0
@@ -465,12 +468,15 @@ def _cmd_cauchy(args) -> int:
               file=sys.stderr)
         return 2
 
+    # lam, s, t and depth are fixed for the command, so the coefficients are
+    # built once; each point is what analytic.cauchy_cf(z, ...) returns
     rows = []
     try:
+        alphas, omegas = analytic.jacobi_floats(lam, s, t, args.depth)
         for im in ims:
             for re in res:
                 z = complex(re, im)
-                g = analytic.cauchy_cf(z, lam, s, t, args.depth)
+                g = analytic.continued_fraction(z, alphas, omegas)
                 row = [re, im, g.real, g.imag]
                 if args.closed:
                     gc = analytic.cauchy_cfree_closed(z, lam)

@@ -14,7 +14,8 @@ with the operator engine in fockpoisson.fock as a fourth.  Exact agreement of
 all four is the package's central cross-check and is wired into the test
 suite and the CLI's all-engines mode.  blockwise_moments, motzkin_walk and
 fock.vacuum_moments give a whole table m_0..m_n from one recursion or walk;
-the single-row functions are its last entry.
+the single-row functions are its last entry, and moment_table takes the
+table whole.
 
 Limits are substitutions made before computing: every engine takes the
 values of s and t, by default the variables S and T, and ONE or ZERO in
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from . import fock
 from .partitions import Family, NCPartition, block_sums, enumerate_nc, family_sums, stats
@@ -242,22 +242,23 @@ class MomentTable:
             raise ValueError("m[0] must be 1")
 
 
-_ENGINES = {
-    "nc": moment_nc,
-    "blockwise": moment_blockwise,
-    "jacobi": moment_jacobi,
-    "operator": fock.vacuum_moment,
+# Each engine maps n_max to [m_0, ..., m_n_max].  nc, the small-n oracle,
+# runs once per row; the others are one recursion or walk per table.
+_ENGINE_TABLES = {
+    "nc": lambda n_max: [moment_nc(n) for n in range(n_max + 1)],
+    "blockwise": blockwise_moments,
+    "jacobi": lambda n_max: motzkin_walk(jacobi(n_max // 2 + 1), n_max, ONE),
+    "operator": fock.vacuum_moments,
 }
 
 
-@lru_cache(maxsize=None)
 def moment_table(n_max: int, engine: str = "jacobi") -> MomentTable:
-    """Moments 0..n_max via one engine; tables are cached per (n_max, engine)."""
+    """Moments 0..n_max via one engine."""
     try:
-        fn = _ENGINES[engine]
+        table = _ENGINE_TABLES[engine]
     except KeyError:
         raise ValueError(f"unknown engine {engine!r}") from None
-    return MomentTable(n_max=n_max, m=tuple(fn(n) for n in range(n_max + 1)))
+    return MomentTable(n_max=n_max, m=tuple(table(n_max)))
 
 
 def moment_functional(p: XPoly, table: MomentTable) -> MultiPoly:

@@ -36,11 +36,13 @@ def row_poly(coeffs_ascending):
 
 def test_criterion_01_triple_engine_identity():
     start = time.monotonic()
+    nc, blockwise, jacobi, operator = (
+        moments.moment_table(10, e).m for e in ("nc", "blockwise", "jacobi", "operator"))
     for n in range(0, 11):
-        reference = moments.moment_table(10, "nc").m[n]
-        assert moments.moment_table(10, "blockwise").m[n] == reference
-        assert moments.moment_table(10, "jacobi").m[n] == reference
-        assert moments.moment_table(10, "operator").m[n] == reference
+        reference = nc[n]
+        assert blockwise[n] == reference
+        assert jacobi[n] == reference
+        assert operator[n] == reference
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     print(f"\nACCEPTANCE 1 PASS: four engines identical for n = 0..10 "

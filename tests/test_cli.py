@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fockpoisson import analytic
 from fockpoisson.cli import main
 from fockpoisson.moments import cfree_moments
 
@@ -214,6 +215,15 @@ def test_partitions_csv_counts(capsys):
     assert out.splitlines() == ["blocks,count", "1,1", "2,3", "3,1"]
 
 
+def test_partitions_count_csv(capsys):
+    code, out, _ = run(capsys, "partitions", "--n", "4", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["n,family,count", "4,NC,14"]
+    code, text, _ = run(capsys, "partitions", "--n", "4", "--format", "json")
+    assert code == 0
+    assert json.loads(text) == {"n": 4, "family": "NC", "count": 14}  # same keys
+
+
 @pytest.mark.parametrize("extra", [(), ("--stats",)], ids=["list", "list-stats"])
 def test_partitions_list_has_no_csv(capsys, extra):
     code, out, err = run(capsys, "partitions", "--n", "3", "--list", *extra,
@@ -340,6 +350,63 @@ def test_cauchy_golden_csv(capsys, params, expected):
                        "--re=-1:1:3", "--im=0.5:1.5:3")
     assert code == 0
     assert out == expected
+
+
+# the benchmark's three cauchy shapes, on a 15 x 15 grid as in its items
+CAUCHY_SHAPES = [
+    (("--lam", "3/2", "--s", "3/8", "--t", "5/8"), 1.5, 0.375, 0.625),
+    (("--lam", "5/4", "--s-one", "--t-zero", "--closed"), 1.25, 1.0, 0.0),
+    (("--lam", "7/4", "--s-zero", "--t-zero"), 1.75, 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("params, lam, s, t", CAUCHY_SHAPES,
+                         ids=["generic", "cfree-closed", "boolean"])
+def test_cauchy_values_equal_cauchy_cf(capsys, params, lam, s, t):
+    argv = ("cauchy", *params, "--depth", "200", "--re=-2.25:4.75:15", "--im=0.07:3.07:15")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    header, *lines = out.splitlines()
+    csv_rows = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    json_rows = json.loads(out)
+    assert len(csv_rows) == len(json_rows) == 225
+    for rows in (csv_rows, json_rows):
+        for row in rows:
+            z = complex(row["re_z"], row["im_z"])
+            g = analytic.cauchy_cf(z, lam, s, t, 200)
+            assert (row["re_g"], row["im_g"]) == (g.real, g.imag)
+            if "--closed" in params:
+                gc = analytic.cauchy_cfree_closed(z, lam)
+                assert (row["re_g_closed"], row["im_g_closed"]) == (gc.real, gc.imag)
+                assert row["abs_diff"] == abs(g - gc)
+
+
+def test_cauchy_builds_the_coefficients_once(capsys, monkeypatch):
+    calls = []
+    build = analytic.jacobi_floats
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(analytic, "jacobi_floats", counted)
+    code, out, _ = run(capsys, "cauchy", "--lam", "2", "--s", "1/2", "--t", "1/4",
+                       "--depth", "50", "--re=-1:1:5", "--im=0.5:2.5:5")
+    assert code == 0 and len(out.splitlines()) == 26
+    assert calls == [(2.0, 0.5, 0.25, 50)]
+
+
+@pytest.mark.parametrize("argv", [("--lam", "0"), ("--s", "2")], ids=["lam-0", "s-2"])
+def test_cauchy_domain_error_before_any_point(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(analytic, "continued_fraction", refuse)
+    code, out, err = run(capsys, "cauchy", *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_cauchy_zero_values_equal_limit_flags(capsys):

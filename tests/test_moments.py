@@ -161,7 +161,7 @@ def test_weight_helper():
 def test_moment_table_validation_and_cache():
     t1 = moment_table(6, "jacobi")
     t2 = moment_table(6, "jacobi")
-    assert t1 is t2  # cached
+    assert t1 == t2
     assert t1.m[0] == ONE and t1.m[1] == LAM
     with pytest.raises(ValueError):
         moment_table(3, "nope")
@@ -169,6 +169,28 @@ def test_moment_table_validation_and_cache():
         MomentTable(n_max=1, m=(LAM, LAM))
     with pytest.raises(ValueError):
         MomentTable(n_max=2, m=(ONE, LAM))
+
+
+# nc lists NC(n) for every row: 12 would cost about 6 s, and
+# test_criterion_01 already compares its 10-row table with the others
+@pytest.mark.parametrize("engine, n_max", [
+    ("nc", 9), ("blockwise", 12), ("jacobi", 12), ("operator", 12)])
+def test_moment_table_rows_match_moment_jacobi(engine, n_max):
+    table = moment_table(n_max, engine)
+    assert table.m == tuple(moment_jacobi(k) for k in range(n_max + 1))
+
+
+def test_moment_table_operator_walks_once(monkeypatch):
+    calls = []
+    apply = fock.FockMatrix.apply
+
+    def counted(self, *args):
+        calls.append(args)
+        return apply(self, *args)
+
+    monkeypatch.setattr(fock.FockMatrix, "apply", counted)
+    moment_table(12, "operator")
+    assert len(calls) == 12  # one per step of one walk; 78 when built per row
 
 
 def test_moment_functional_basics():
