@@ -508,8 +508,14 @@ _COMMANDS = {
 }
 
 
+_parser = None  # built by the first main call; parsing leaves it unchanged
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     return _COMMANDS[args.command](args)
 
 

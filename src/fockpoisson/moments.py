@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import fock
-from .partitions import Family, NCPartition, block_sums, enumerate_nc, family_sums, stats
+from .partitions import (Family, NCPartition, block_depths, block_sums, enumerate_nc,
+                         family_sums, stats)
 from .poly import LAM, ONE, S, T, ZERO, MultiPoly
 
 
@@ -203,8 +204,13 @@ def moment_nc(n: int, s=S, t=T) -> MultiPoly:
         return ONE
     counts = {}
     for p in enumerate_nc(n):
-        st = stats(p)
-        key = (len(p.blocks), st.td1, st.td2)
+        blocks = p.blocks
+        depths = block_depths(blocks)
+        td2 = 0
+        for b, d in zip(blocks, depths):
+            if len(b) > 2:
+                td2 += (len(b) - 2) * d
+        key = (len(blocks), sum(depths), td2)
         counts[key] = counts.get(key, 0) + 1
     return sum((c * LAM**k * s**es * t**et for (k, es, et), c in counts.items()), ZERO)
 

@@ -7,12 +7,18 @@ statistics attached to a non-crossing partition are the per-block depths
 intermediate-element total td2 = sum over blocks of size >= 3 of
 (size - 2) * depth.
 
-The enumerator and block_sums recurse on the block containing the first
-element; the gaps between its consecutive elements are partitioned
-independently, one level deeper.  The enumerator lazily lists each
-non-crossing partition once in a fixed order, with no size cap (NC(n) grows
-like Catalan(n); the CLI guards its listings); block_sums adds up per-block
-weights without listing any, and so counts the families.
+The enumerator and block_sums split a region (a run of labels) at the block
+containing its first element; the gaps between that block's consecutive
+elements are partitioned independently, one level deeper.  The enumerator
+is one depth-first walk with an explicit stack over a queue of pending
+regions: each step chooses the first block of the region at the front and
+puts its gaps ahead of the regions still waiting.  Each region's choices are
+computed once per listing and kept when the region has at most n // 2
+points (those recur often); longer regions generate them lazily.  It yields
+each non-crossing partition once in a fixed order, with no size cap (NC(n)
+grows like Catalan(n); the CLI guards its listings).  Block depths are read
+back from the blocks in one stack sweep (block_depths).  block_sums adds up
+per-block weights without listing any partition, and so counts the families.
 """
 
 from __future__ import annotations
@@ -67,19 +73,20 @@ class SetPartition:
 
 
 def is_noncrossing(p: SetPartition) -> bool:
-    """True iff no two blocks interleave as b1 < c1 < b2 < c2."""
-    blocks = p.blocks
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            merged = sorted(
-                [(x, 0) for x in blocks[i]] + [(x, 1) for x in blocks[j]]
-            )
-            alternations = 1
-            for k in range(1, len(merged)):
-                if merged[k][1] != merged[k - 1][1]:
-                    alternations += 1
-            if alternations >= 4:
-                return False
+    """True iff no two blocks interleave as b1 < c1 < b2 < c2.
+
+    One sweep over the elements in increasing order keeps a stack of the
+    blocks opened and not yet closed: an element that is not the first of
+    its block must belong to the block on top of the stack.
+    """
+    owner = {x: b for b in p.blocks for x in b}
+    open_blocks = []
+    for x in sorted(owner):
+        b = owner[x]
+        if x != b[0] and open_blocks.pop() is not b:
+            return False
+        if x != b[-1]:
+            open_blocks.append(b)
     return True
 
 
@@ -115,76 +122,86 @@ class PartitionStats:
     inner_flags: tuple
 
 
-def stats(p: NCPartition) -> PartitionStats:
-    """Block depths by interval containment, and the totals td1, td2.
+def block_depths(blocks) -> list:
+    """Depth of every block of a non-crossing partition, in block order.
 
-    For a non-crossing partition the blocks nesting B are exactly those whose
-    first/last elements bracket B's interval, so depth is a pairwise interval
-    test rather than a per-element cover count.
+    The blocks nesting B are the earlier blocks (by minimum) that are still
+    open at B's first element.  One sweep in block order keeps the last
+    elements of the open blocks on a stack, innermost on top: the ends below
+    B's first element close, and B's depth is the number left.
     """
-    spans = [(b[0], b[-1]) for b in p.blocks]
-    depths = []
-    for fb, lb in spans:
-        d = 0
-        for fc, lc in spans:
-            if fc < fb and lb < lc:
-                d += 1
-        depths.append(d)
-    td1 = sum(depths)
-    td2 = sum(
-        (len(b) - 2) * d for b, d in zip(p.blocks, depths) if len(b) >= 3
-    )
+    ends, depths = [], []
+    for b in blocks:
+        first = b[0]
+        while ends and ends[-1] < first:
+            ends.pop()
+        depths.append(len(ends))
+        ends.append(b[-1])
+    return depths
+
+
+def stats(p: NCPartition) -> PartitionStats:
+    """Block depths from one stack sweep (block_depths), and the totals td1, td2."""
+    depths = block_depths(p.blocks)
+    td2 = sum((len(b) - 2) * d for b, d in zip(p.blocks, depths) if len(b) >= 3)
     return PartitionStats(
         block_depths=tuple(depths),
-        td1=td1,
+        td1=sum(depths),
         td2=td2,
         inner_flags=tuple(d >= 1 for d in depths),
     )
 
 
-def _gap_partitions(gaps, idx):
-    """Lazily combine independent partitions of each gap, in gap order."""
-    if idx == len(gaps):
-        yield ()
-        return
-    for head in _nc_blocks(gaps[idx]):
-        for tail in _gap_partitions(gaps, idx + 1):
-            yield head + tail
+def _region_choices(lo: int, hi: int):
+    """Yield the choices (block, gaps) for the first block of the region lo..hi.
 
-
-def _nc_blocks(elems):
-    """Yield non-crossing partitions of the sorted label tuple as block tuples.
-
-    The block containing the first element is chosen outright; every other
-    block must fall entirely inside one gap between its consecutive elements,
-    so the gaps are partitioned independently.  Gap spans increase left to
-    right, which keeps the emitted blocks ordered by minimum with no sorting.
+    The block holds lo and any subset of lo+1..hi, by size and then
+    lexicographically; gaps are the runs between its consecutive elements
+    and after its last one, as (lo, hi) regions in increasing order.
     """
-    if not elems:
-        yield ()
-        return
-    first, rest = elems[0], elems[1:]
-    for size in range(len(rest) + 1):
-        for chosen in combinations(range(len(rest)), size):
-            block = (first,) + tuple(rest[i] for i in chosen)
+    for size in range(hi - lo + 1):
+        for chosen in combinations(range(lo + 1, hi + 1), size):
             gaps = []
-            prev = -1
-            for i in chosen:
-                if i > prev + 1:
-                    gaps.append(rest[prev + 1 : i])
-                prev = i
-            if prev + 1 < len(rest):
-                gaps.append(rest[prev + 1 :])
-            for combo in _gap_partitions(gaps, 0):
-                yield (block,) + combo
+            prev = lo
+            for x in chosen:
+                if x > prev + 1:
+                    gaps.append((prev + 1, x - 1))
+                prev = x
+            if prev < hi:
+                gaps.append((prev + 1, hi))
+            yield (lo, *chosen), tuple(gaps)
 
 
 def enumerate_nc(n: int):
     """Yield every non-crossing partition of [n] once, in a fixed order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    for blocks in _nc_blocks(tuple(range(1, n + 1))):
-        yield NCPartition._trusted(n, blocks)
+    trusted = NCPartition._trusted
+    memo = {}  # the choices of each region of at most n // 2 points
+    short = n // 2
+    # frames: (choices left for the region at the front, the regions waiting
+    # after it, the blocks chosen before it)
+    stack = [(_region_choices(1, n), (), ())]
+    while stack:
+        choices, waiting, chosen = stack[-1]
+        for block, gaps in choices:
+            pending = gaps + waiting
+            if not pending:
+                yield trusted(n, (*chosen, block))
+                continue
+            region = pending[0]
+            lo, hi = region
+            if hi - lo < short:
+                cached = memo.get(region)
+                if cached is None:
+                    cached = memo[region] = tuple(_region_choices(lo, hi))
+                nxt = iter(cached)
+            else:
+                nxt = _region_choices(lo, hi)
+            stack.append((nxt, pending[1:], (*chosen, block)))
+            break
+        else:
+            stack.pop()
 
 
 class Family(Enum):
@@ -210,7 +227,7 @@ def enumerate_family(n: int, family: Family):
     """Yield the members of the requested restricted family of NC(n)."""
     ok = _INNER_OK[family]
     for p in enumerate_nc(n):
-        if all(d == 0 or ok(len(b)) for b, d in zip(p.blocks, stats(p).block_depths)):
+        if all(d == 0 or ok(len(b)) for b, d in zip(p.blocks, block_depths(p.blocks))):
             yield p
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fockpoisson
 from fockpoisson import analytic
 from fockpoisson.cli import main
 from fockpoisson.moments import cfree_moments
@@ -472,3 +477,30 @@ def test_determinism(capsys):
     a = run(capsys, "cauchy", "--lam", "1", "--re=-1:1:3", "--im", "1:2:2")
     b = run(capsys, "cauchy", "--lam", "1", "--re=-1:1:3", "--im", "1:2:2")
     assert a == b
+
+
+def _alone(argv):
+    """(exit code, stdout) of the call as the only one in a fresh interpreter."""
+    src = str(Path(fockpoisson.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "fockpoisson.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("calls", [
+    (("cauchy", "--s-one", "--t-zero", "--closed"), ("cauchy",)),
+    (("moments", "--nmax", "3", "--s-one"), ("moments", "--nmax", "3")),
+    (("moments", "--engine", "wat"), ("moments", "--nmax", "3")),
+])
+def test_main_calls_in_one_process_match_each_call_alone(capsys, monkeypatch, calls):
+    from fockpoisson import cli
+
+    monkeypatch.setattr(cli, "_parser", None)  # the first call builds the parser
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        assert (code, capsys.readouterr().out) == _alone(argv), argv
+    assert cli._parser is not None

@@ -1,9 +1,16 @@
+import hashlib
+import time
+import tracemalloc
+from collections import deque
+from itertools import islice
+
 import pytest
 
 from fockpoisson.partitions import (
     Family,
     NCPartition,
     SetPartition,
+    block_depths,
     count_by_blocks,
     enumerate_family,
     enumerate_nc,
@@ -74,10 +81,56 @@ def test_enumerate_nc_count_n10_vs_filtered_bruteforce():
     assert sum(1 for _ in enumerate_nc(10)) == count == 16796
 
 
+# sha256 of repr([p.blocks for p in enumerate_nc(n)]), n = 1..11: the listing
+# order that partitions --list prints, pinned across enumerator rewrites.
+ENUMERATION_SHA256 = {
+    1: "f2cb19bf566e9bf781b8e71a38981c8a1bb826bcc238e08031749d5b9c42af51",
+    2: "d62a065017aca1b43367990b13e212936b8dde5d8445e8591b2d6b98a0445650",
+    3: "6b16255dd17ae774b375166890d940748cda3e561c833769064667270306001b",
+    4: "eb2bbe7e0e12d7e224f01a0d2e427ab068bcdd2229674f5350e12747e872994b",
+    5: "ac2fe8c4fbeb662f438fd83e17c921a7d23c989828a1b9c589f35585f526faef",
+    6: "02b77df80b4c8c6a85e8d639367a1413d3ce37c182eef2e48df42a6344a60817",
+    7: "de8212b27aa70e4eb73a0ecaa6d60fcf17777180c68ec4c5f77698f45ab561c5",
+    8: "0f616e0f63c4cd2e9cbd7efbed3dfe9659a07a1064c6f85917ee2cbf27227cef",
+    9: "a309920a2889c4cb4bedbfe4a2bdfbf9986ea7a36fa762bc47c427d3c5ba15c9",
+    10: "1849ed904c07b3b4de9cc95be4864b43832d0f3553ed0138a58605877c1644cb",
+    11: "aa75622b8eb878acbbd7dbaaaa7b8d7d700bc6e45a090c82b70b0841d385d755",
+}
+
+
 def test_enumerate_nc_deterministic_order():
-    first = [p.blocks for p in enumerate_nc(6)]
-    second = [p.blocks for p in enumerate_nc(6)]
-    assert first == second
+    assert [p.blocks for p in enumerate_nc(4)] == [
+        ((1,), (2,), (3,), (4,)), ((1,), (2,), (3, 4)), ((1,), (2, 3), (4,)),
+        ((1,), (2, 4), (3,)), ((1,), (2, 3, 4)), ((1, 2), (3,), (4,)), ((1, 2), (3, 4)),
+        ((1, 3), (2,), (4,)), ((1, 4), (2,), (3,)), ((1, 4), (2, 3)), ((1, 2, 3), (4,)),
+        ((1, 2, 4), (3,)), ((1, 3, 4), (2,)), ((1, 2, 3, 4),),
+    ]
+    for n, digest in ENUMERATION_SHA256.items():
+        listing = repr([p.blocks for p in enumerate_nc(n)])
+        assert hashlib.sha256(listing.encode()).hexdigest() == digest, n
+
+
+def test_enumerate_nc_memory_bound():
+    # Only regions of at most n // 2 points keep their first-block choices;
+    # keeping every region's held about 6 MB over these 100,000 partitions.
+    tracemalloc.start()
+    try:
+        deque(islice(enumerate_nc(14), 100_000), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_block_depths_match_definitions():
+    for n in range(1, 11):
+        for p in enumerate_nc(n):
+            blocks = p.blocks
+            nesting = [sum(1 for c in blocks if c[0] < b[0] and b[-1] < c[-1])
+                       for b in blocks]
+            depths = block_depths(blocks)
+            assert depths == nesting
+            assert depths == [element_depth(blocks, b[0]) for b in blocks]
 
 
 def test_stats_examples():
@@ -171,7 +224,7 @@ def test_counting_never_enumerates(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated")
 
-    for module, name in ((partitions, "_nc_blocks"), (partitions, "enumerate_nc"),
+    for module, name in ((partitions, "_region_choices"), (partitions, "enumerate_nc"),
                          (partitions, "enumerate_family"), (moments, "enumerate_nc")):
         monkeypatch.setattr(module, name, refuse)
     with pytest.raises(AssertionError):
@@ -189,7 +242,11 @@ def test_counting_never_enumerates(monkeypatch, capsys):
 
 
 def test_enumerate_nc_has_no_cap():
-    assert next(enumerate_nc(19)).blocks == tuple((i,) for i in range(1, 20))
+    start = time.perf_counter()
+    first = next(enumerate_nc(19))
+    # a long region's 2^(n-1) block choices are generated lazily, not stored
+    assert time.perf_counter() - start < 0.1
+    assert first.blocks == tuple((i,) for i in range(1, 20))
 
 
 def test_json_serialization():
