@@ -61,7 +61,7 @@ def cauchy_cf(z: complex, lam: float, s: float, t: float, depth: int) -> complex
     build them once with jacobi_floats and call continued_fraction per
     point, as the CLI's cauchy command does.
     """
-    if z.imag <= 0:
+    if not z.imag > 0:  # also refuses a nan imaginary part
         raise DomainError("z must lie in the upper half-plane")
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -71,7 +71,7 @@ def cauchy_cf(z: complex, lam: float, s: float, t: float, depth: int) -> complex
 
 def cauchy_cfree_closed(z: complex, lam: float) -> complex:
     """Closed-form Cauchy transform of the s = 1, t -> 0 distribution."""
-    if z.imag <= 0:
+    if not z.imag > 0:
         raise DomainError("z must lie in the upper half-plane")
     if lam <= 0:
         raise DomainError(f"lambda must be positive, got {lam}")

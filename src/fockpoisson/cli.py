@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -365,12 +366,12 @@ def _cmd_words(args) -> int:
     admissible = word.is_admissible()
     info = {"word": str(word), "levels": word.levels(), "admissible": admissible}
     if admissible:
-        part = word.to_partition()
         arr = word.arrangement(degenerate_t=args.degenerate)
-        info["partition"] = part.to_json_obj()
+        weight = arr.total_weight
+        info["partition"] = word.to_partition().to_json_obj()
         info["cards"] = arr.labels()
-        info["weight"] = str(arr.total_weight)
-        info["weight_terms"] = arr.total_weight.to_json_terms()
+        info["weight"] = str(weight)
+        info["weight_terms"] = weight.to_json_terms()
         if args.cards:
             info["drawing"] = arr.render()
 
@@ -397,10 +398,14 @@ def _cmd_fock(args) -> int:
     if args.n < 1:
         print("error: --n must be >= 1", file=sys.stderr)
         return 2
-    did_something = False
+    if not (args.dump or args.relations):
+        print("error: nothing to do; pass --dump and/or --relations", file=sys.stderr)
+        return 2
+    if args.relations and args.n < 2:
+        print("error: --relations needs --n >= 2", file=sys.stderr)
+        return 2
     status = 0
     if args.dump:
-        did_something = True
         if args.dump == "poisson":
             matrix = fock.poisson_matrix(args.n)
         else:
@@ -410,10 +415,6 @@ def _cmd_fock(args) -> int:
         print(json.dumps({"operator": args.dump, "dim": matrix.dim,
                           "entries": matrix.to_json_obj()}, indent=2))
     if args.relations:
-        did_something = True
-        if args.n < 2:
-            print("error: --relations needs --n >= 2", file=sys.stderr)
-            return 2
         report = fock.check_relations(args.n)
         ok = all(report.values())
         if args.format == "json":
@@ -424,9 +425,6 @@ def _cmd_fock(args) -> int:
             print("ALL RELATIONS HOLD" if ok else "RELATION CHECK FAILED")
         if not ok:
             status = 1
-    if not did_something:
-        print("error: nothing to do; pass --dump and/or --relations", file=sys.stderr)
-        return 2
     return status
 
 
@@ -441,9 +439,11 @@ def _parse_range(text: str):
         raise ValueError(f"expected MIN:MAX:STEPS, got {text!r}") from None
     if steps < 1:
         raise ValueError("STEPS must be >= 1")
-    if steps == 1:
-        return [lo]
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    grid = [lo] if steps == 1 else [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    # nan <= 0 is false, so a nan would pass every later range check
+    if not all(math.isfinite(v) for v in (lo, hi, *grid)):
+        raise ValueError(f"MIN, MAX and the grid points must be finite, got {text!r}")
+    return grid
 
 
 def _cmd_cauchy(args) -> int:

@@ -119,7 +119,6 @@ class PartitionStats:
     block_depths: tuple
     td1: int
     td2: int
-    inner_flags: tuple
 
 
 def block_depths(blocks) -> list:
@@ -148,7 +147,6 @@ def stats(p: NCPartition) -> PartitionStats:
         block_depths=tuple(depths),
         td1=sum(depths),
         td2=td2,
-        inner_flags=tuple(d >= 1 for d in depths),
     )
 
 

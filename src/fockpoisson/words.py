@@ -21,13 +21,16 @@ Admissible words biject with non-crossing partitions: scalar letters are
 singletons, creation letters open blocks, annihilation letters close the most
 recently opened block, and intermediate letters join the innermost open block
 (the only non-crossing choice).
+
+A card is a kind and a level, the level before its position, and weighs one
+monomial in sqrt(l), s and t.  An arrangement weighs the monomial whose
+exponents sum its cards': l^blocks * s^td1 * t^td2 (t^0 in the t = 1 mode).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .partitions import NCPartition
 from .poly import MultiPoly
@@ -153,19 +156,22 @@ class CardKind(Enum):
 class Card:
     kind: CardKind
     level: int
-    weight: MultiPoly
+
+    @property
+    def weight(self) -> MultiPoly:
+        return MultiPoly({_CARD_EXPONENTS[self.kind](self.level): 1})
 
     def label(self) -> str:
         return f"{self.kind.value}{self.level}"
 
 
-_CARD_WEIGHTS = {
-    # level -> weight; annihilation/intermediate cards exist only at level >= 1
-    CardKind.C: lambda lv: MultiPoly.term(1, el=Fraction(1, 2)),
-    CardKind.A: lambda lv: MultiPoly.term(1, el=Fraction(1, 2), es=lv - 1),
-    CardKind.K: lambda lv: MultiPoly.term(1, el=1, es=lv),
-    CardKind.M: lambda lv: MultiPoly.term(1, et=lv - 1),
-    CardKind.N: lambda lv: MultiPoly.one(),
+# kind -> (level -> (2*exp_l, exp_s, exp_t)), the key of one MultiPoly term
+_CARD_EXPONENTS = {
+    CardKind.C: lambda lv: (1, 0, 0),
+    CardKind.A: lambda lv: (1, lv - 1, 0),
+    CardKind.K: lambda lv: (2, lv, 0),
+    CardKind.M: lambda lv: (0, 0, lv - 1),
+    CardKind.N: lambda lv: (0, 0, 0),
 }
 
 
@@ -179,16 +185,13 @@ class CardArrangement:
         for c in cards:
             if c.kind in (CardKind.A, CardKind.M, CardKind.N) and c.level < 1:
                 raise ValueError(f"{c.kind.value}-card requires level >= 1")
-            if c.weight != _CARD_WEIGHTS[c.kind](c.level):
-                raise ValueError(f"card {c.label()} carries the wrong weight")
         self.cards = cards
 
     @property
     def total_weight(self) -> MultiPoly:
-        w = MultiPoly.one()
-        for c in self.cards:
-            w = w * c.weight
-        return w
+        """The product of the cards' weights: one term, exponents summed."""
+        exponents = (_CARD_EXPONENTS[c.kind](c.level) for c in self.cards)
+        return MultiPoly({tuple(map(sum, zip((0, 0, 0), *exponents))): 1})
 
     def labels(self):
         return [c.label() for c in self.cards]
@@ -203,19 +206,15 @@ _LETTER_TO_KIND = {
     Letter.SCA: CardKind.K,
     Letter.MID: CardKind.M,
 }
+_LETTER_TO_KIND_T1 = {**_LETTER_TO_KIND, Letter.MID: CardKind.N}  # degenerate t = 1
 
 
 def arrangement(w: OperatorWord, degenerate_t: bool = False) -> CardArrangement:
     """Cards for an admissible word; the card index is the incoming level."""
     if not w.is_admissible():
         raise NotAdmissibleError(f"word {w} is not admissible")
-    cards = []
-    for x, lv in zip(w.letters, w.levels()):
-        kind = _LETTER_TO_KIND[x]
-        if kind is CardKind.M and degenerate_t:
-            kind = CardKind.N
-        cards.append(Card(kind=kind, level=lv, weight=_CARD_WEIGHTS[kind](lv)))
-    return CardArrangement(cards)
+    kinds = _LETTER_TO_KIND_T1 if degenerate_t else _LETTER_TO_KIND
+    return CardArrangement(Card(kinds[x], lv) for x, lv in zip(w.letters, w.levels()))
 
 
 _CELL = 5

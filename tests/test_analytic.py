@@ -40,6 +40,11 @@ def test_domain_checks():
         cauchy_cf(2 + 0j, 1.0, 1.0, 1.0, 10)
     with pytest.raises(DomainError):
         cauchy_cfree_closed(2 - 1j, 1.0)
+    nan = float("nan")
+    with pytest.raises(DomainError):
+        cauchy_cf(complex(0.0, nan), 1.0, 1.0, 1.0, 10)
+    with pytest.raises(DomainError):
+        cauchy_cfree_closed(complex(0.0, nan), 1.0)
     with pytest.raises(DomainError):
         jacobi_floats(-1.0, 0.5, 0.5, 5)
     with pytest.raises(DomainError):

@@ -318,6 +318,15 @@ def test_fock_relations_and_dump(capsys):
     assert code == 2 and "nothing to do" in err
 
 
+def test_fock_usage_error_before_any_output(capsys):
+    code, out, err = run(capsys, "fock", "--n", "1", "--dump", "creation", "--relations")
+    assert code == 2 and out == ""
+    assert err == "error: --relations needs --n >= 2\n"
+
+    code, out, _ = run(capsys, "fock", "--n", "1", "--dump", "creation")
+    assert code == 0 and json.loads(out)["dim"] == 2
+
+
 def test_cauchy_csv_grid(capsys):
     code, out, _ = run(capsys, "cauchy", "--lam", "1", "--s-one", "--t-zero",
                        "--closed", "--re", "3:3:1", "--im", "1:2:2")
@@ -401,6 +410,15 @@ def test_cauchy_builds_the_coefficients_once(capsys, monkeypatch):
                        "--depth", "50", "--re=-1:1:5", "--im=0.5:2.5:5")
     assert code == 0 and len(out.splitlines()) == 26
     assert calls == [(2.0, 0.5, 0.25, 50)]
+
+
+@pytest.mark.parametrize("argv", [("--im=nan:1:2",), ("--re=nan:1:2",), ("--im=inf:inf:1",),
+                                  ("--re=-1e308:1e308:3",)],
+                         ids=["im-nan", "re-nan", "im-inf", "re-overflow"])
+def test_cauchy_refuses_non_finite_grids(capsys, argv):
+    code, out, err = run(capsys, "cauchy", *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "must be finite" in err
 
 
 @pytest.mark.parametrize("argv", [("--lam", "0"), ("--s", "2")], ids=["lam-0", "s-2"])

@@ -137,7 +137,6 @@ def test_stats_examples():
     st = stats(NCPartition(6, [[1, 2, 6], [3, 5], [4]]))
     assert st.block_depths == (0, 1, 2)
     assert (st.td1, st.td2) == (3, 0)
-    assert st.inner_flags == (False, True, True)
 
     st = stats(NCPartition(7, [[1, 7], [2, 5, 6], [3, 4]]))
     assert st.block_depths == (0, 1, 2)
@@ -146,7 +145,6 @@ def test_stats_examples():
     st = stats(NCPartition(1, [[1]]))
     assert st.block_depths == (0,)
     assert (st.td1, st.td2) == (0, 0)
-    assert st.inner_flags == (False,)
 
 
 def test_depth_constant_within_block():
