@@ -34,6 +34,12 @@ class DomainError(ValueError):
     """The evaluation point is outside the function's domain."""
 
 
+def _check_upper_half_plane(z: complex) -> None:
+    # `not z.imag > 0` alone lets a nan real part or an infinite z through
+    if not (cmath.isfinite(z) and z.imag > 0):
+        raise DomainError(f"z must be a finite point of the upper half-plane, got {z}")
+
+
 def jacobi_floats(lam: float, s: float, t: float, depth: int):
     """(alphas, omegas) of the continued fraction as floats; s, t in [0, 1]."""
     if lam <= 0:
@@ -61,8 +67,7 @@ def cauchy_cf(z: complex, lam: float, s: float, t: float, depth: int) -> complex
     build them once with jacobi_floats and call continued_fraction per
     point, as the CLI's cauchy command does.
     """
-    if not z.imag > 0:  # also refuses a nan imaginary part
-        raise DomainError("z must lie in the upper half-plane")
+    _check_upper_half_plane(z)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     alphas, omegas = jacobi_floats(lam, s, t, depth)
@@ -71,8 +76,7 @@ def cauchy_cf(z: complex, lam: float, s: float, t: float, depth: int) -> complex
 
 def cauchy_cfree_closed(z: complex, lam: float) -> complex:
     """Closed-form Cauchy transform of the s = 1, t -> 0 distribution."""
-    if not z.imag > 0:
-        raise DomainError("z must lie in the upper half-plane")
+    _check_upper_half_plane(z)
     if lam <= 0:
         raise DomainError(f"lambda must be positive, got {lam}")
     r = 2 * math.sqrt(lam)

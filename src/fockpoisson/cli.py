@@ -459,10 +459,14 @@ def _cmd_cauchy(args) -> int:
     if args.depth < 1:
         print("error: --depth must be >= 1", file=sys.stderr)
         return 2
-    lam = float(args.lam)
-    s, t = _st_values(args, 1.0, 0.0,
-                      1.0 if args.s is None else float(args.s),
-                      1.0 if args.t is None else float(args.t))
+    try:
+        lam = float(args.lam)
+        s, t = _st_values(args, 1.0, 0.0,
+                          1.0 if args.s is None else float(args.s),
+                          1.0 if args.t is None else float(args.t))
+    except OverflowError:
+        print("error: --lam, --s and --t must lie within the float range", file=sys.stderr)
+        return 2
     if args.closed and not (s == 1.0 and t == 0.0):
         print("error: --closed requires s = 1 and t -> 0 (--s-one --t-zero)",
               file=sys.stderr)

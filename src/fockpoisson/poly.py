@@ -3,9 +3,17 @@
 A ``MultiPoly`` is a sparse polynomial in the variables ``l`` (the rate
 parameter lambda), ``s`` and ``t``, with arbitrary-precision integer
 coefficients.  The lambda exponent may be a half-integer (so that sqrt(lambda)
-is representable); internally it is tracked in half-units:
+is representable); internally it is tracked in half-units, el2 = 2 * (exponent
+of lambda), and each monomial is packed into one int key:
 
-    terms = {(el2, es, et): coeff}     el2 = 2 * (exponent of lambda)
+    terms = {el2 | es << 32 | et << 64: coeff}
+
+so the product of two monomials is the sum of their keys.  The constructor
+and ``terms()`` speak in ``(el2, es, et)`` tuples.  The total degree
+el2 + es + et of a term must stay below 2**32, so no field can carry into
+the next: each polynomial carries an upper bound on it (the sum of the
+operands' bounds for a product, the larger one for a sum), and an operation
+whose bound passes 2**32 - 1 raises OverflowError.
 
 Every quantity the combinatorial and recurrence engines return ends up with
 integral lambda exponents; half units only appear in intermediate operator
@@ -17,6 +25,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+
+_FIELD = (1 << 32) - 1  # the largest exponent a key field holds
+_S_FIELD = _FIELD << 32
+_T_FIELD = _FIELD << 64
 
 
 class NonIntegralLambdaExponentError(ValueError):
@@ -41,25 +53,46 @@ def _exact_sqrt(q: Fraction):
     return None
 
 
-def _term_sort_key(key):
-    el2, es, et = key
-    return (el2 + 2 * es + 2 * et, el2, es, et)
+def _half_units(el) -> int:
+    """2 * el for an int or a half-integer lambda exponent."""
+    if isinstance(el, int):
+        return 2 * el
+    el2 = 2 * Fraction(el)
+    if el2.denominator != 1:
+        raise ValueError(f"lambda exponent must be a half integer, got {el}")
+    return int(el2)
+
+
+def _check_degree(deg: int) -> int:
+    if deg > _FIELD:
+        raise OverflowError(f"MultiPoly exponents up to {deg} do not fit below 2**32")
+    return deg
+
+
+def _new(terms: dict, deg: int) -> "MultiPoly":
+    result = MultiPoly.__new__(MultiPoly)
+    result._terms = terms
+    result._deg = deg
+    return result
 
 
 class MultiPoly:
     """Sparse exact polynomial in lambda (half-integer exponents), s and t."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_deg")
 
     def __init__(self, terms=None):
-        cleaned = {}
+        cleaned, deg = {}, 0
         if terms:
             for (el2, es, et), coeff in terms.items():
                 if el2 < 0 or es < 0 or et < 0:
                     raise ValueError("negative exponents are not supported")
                 if coeff:
-                    cleaned[(int(el2), int(es), int(et))] = int(coeff)
+                    el2, es, et = int(el2), int(es), int(et)
+                    deg = max(deg, el2 + es + et)
+                    cleaned[el2 | es << 32 | et << 64] = int(coeff)
         self._terms = cleaned
+        self._deg = _check_degree(deg)
 
     # -- constructors ------------------------------------------------------
 
@@ -78,10 +111,7 @@ class MultiPoly:
     @classmethod
     def term(cls, coeff: int, el=0, es: int = 0, et: int = 0) -> "MultiPoly":
         """Single term; ``el`` may be an int or a half-integer Fraction."""
-        el2 = 2 * Fraction(el)
-        if el2.denominator != 1:
-            raise ValueError(f"lambda exponent must be a half integer, got {el}")
-        return cls({(int(el2), es, et): coeff})
+        return cls({(_half_units(el), es, et): coeff})
 
     # -- ring structure ----------------------------------------------------
 
@@ -101,23 +131,23 @@ class MultiPoly:
             other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            new = out.get(key, 0) + coeff
+        big, small = self._terms, other._terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        get = out.get
+        for key, coeff in small.items():
+            new = get(key, 0) + coeff
             if new:
                 out[key] = new
             else:
-                out.pop(key, None)
-        result = MultiPoly.__new__(MultiPoly)
-        result._terms = out
-        return result
+                del out[key]
+        return _new(out, self._deg if self._deg > other._deg else other._deg)
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = MultiPoly.__new__(MultiPoly)
-        result._terms = {key: -coeff for key, coeff in self._terms.items()}
-        return result
+        return _new({key: -coeff for key, coeff in self._terms.items()}, self._deg)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -133,23 +163,29 @@ class MultiPoly:
         if isinstance(other, int):
             if other == 0:
                 return MultiPoly.zero()
-            result = MultiPoly.__new__(MultiPoly)
-            result._terms = {k: c * other for k, c in self._terms.items()}
-            return result
+            return _new({k: c * other for k, c in self._terms.items()}, self._deg)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        out = {}
-        for (a1, a2, a3), ca in self._terms.items():
-            for (b1, b2, b3), cb in other._terms.items():
-                key = (a1 + b1, a2 + b2, a3 + b3)
-                new = out.get(key, 0) + ca * cb
+        deg = _check_degree(self._deg + other._deg)
+        big, small = self._terms, other._terms
+        if len(big) < len(small):
+            big, small = small, big
+        if not small:
+            return _new({}, deg)
+        rest = iter(small.items())
+        kb, cb = next(rest)
+        # a shift by one monomial sends distinct keys to distinct keys
+        out = {ka + kb: ca * cb for ka, ca in big.items()}
+        get = out.get
+        for kb, cb in rest:
+            for ka, ca in big.items():
+                key = ka + kb
+                new = get(key, 0) + ca * cb
                 if new:
                     out[key] = new
                 else:
                     del out[key]
-        result = MultiPoly.__new__(MultiPoly)
-        result._terms = out
-        return result
+        return _new(out, deg)
 
     __rmul__ = __mul__
 
@@ -161,25 +197,37 @@ class MultiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the top bit: it could overflow unused
+                base = base * base
         return result
 
     # -- inspection --------------------------------------------------------
 
+    def _ranked(self):
+        """[(el2, es, et, coeff)] in canonical (descending graded-lex) order,
+        sorted by one small int per term: el2 + 2*es + 2*et, el2 and es (the
+        three fix et) in fields as wide as the degree bound."""
+        w = self._deg.bit_length()
+        m = (1 << w) - 1
+        ranked = {(el2 + 2 * (es + (k >> 64)) << w | el2) << w | es: c
+                  for k, c in self._terms.items() for el2 in [k & _FIELD] for es in [k >> 32 & _FIELD]}
+        return [(el2, es, ((r >> 2 * w) - el2 >> 1) - es, ranked[r])
+                for r in sorted(ranked, reverse=True) for el2 in [r >> w & m] for es in [r & m]]
+
     def terms(self):
         """Yield ((el2, es, et), coeff) in canonical (descending graded-lex) order."""
-        for key in sorted(self._terms, key=_term_sort_key, reverse=True):
-            yield key, self._terms[key]
+        for el2, es, et, coeff in self._ranked():
+            yield (el2, es, et), coeff
 
     def coefficient(self, el=0, es: int = 0, et: int = 0) -> int:
-        el2 = 2 * Fraction(el)
-        if el2.denominator != 1:
-            raise ValueError(f"lambda exponent must be a half integer, got {el}")
-        return self._terms.get((int(el2), es, et), 0)
+        el2 = _half_units(el)
+        if min(el2, es, et) < 0 or el2 + es + et > self._deg:
+            return 0  # no such term, and its packed key could name another
+        return self._terms.get(el2 | es << 32 | et << 64, 0)
 
     def has_integral_lambda_exponents(self) -> bool:
-        return all(el2 % 2 == 0 for (el2, _, _) in self._terms)
+        return not any(k & 1 for k in self._terms)
 
     # -- evaluation and limits ----------------------------------------------
 
@@ -193,19 +241,17 @@ class MultiPoly:
         """
         lam, s, t = _as_fraction(lam), _as_fraction(s), _as_fraction(t)
         sqrt_lam = None
-        if any(el2 % 2 for (el2, _, _) in self._terms):
+        if not self.has_integral_lambda_exponents():
             sqrt_lam = _exact_sqrt(lam)
             if sqrt_lam is None:
                 raise NonIntegralLambdaExponentError(
                     f"half-integer lambda exponent but lambda={lam} has no exact square root"
                 )
         total = Fraction(0)
-        for (el2, es, et), coeff in self._terms.items():
-            if el2 % 2 == 0:
-                part = lam ** (el2 // 2)
-            else:
-                part = sqrt_lam**el2
-            total += coeff * part * s**es * t**et
+        for k, coeff in self._terms.items():
+            el2 = k & _FIELD
+            part = sqrt_lam**el2 if k & 1 else lam ** (el2 >> 1)
+            total += coeff * part * s ** (k >> 32 & _FIELD) * t ** (k >> 64)
         return total
 
     def specialize_zero(self, kill_s: bool = False, kill_t: bool = False) -> "MultiPoly":
@@ -213,65 +259,41 @@ class MultiPoly:
 
         Exponent-zero terms survive (0**0 = 1 convention).
         """
-        result = MultiPoly.__new__(MultiPoly)
-        result._terms = {
-            (el2, es, et): coeff
-            for (el2, es, et), coeff in self._terms.items()
-            if not (kill_s and es > 0) and not (kill_t and et > 0)
-        }
-        return result
+        mask = (_S_FIELD if kill_s else 0) | (_T_FIELD if kill_t else 0)
+        return _new({k: c for k, c in self._terms.items() if not k & mask}, self._deg)
 
     def specialize_one(self, s: bool = False, t: bool = False) -> "MultiPoly":
         """Set s = 1 and/or t = 1 by erasing the exponent (terms merge)."""
+        keep = ~((_S_FIELD if s else 0) | (_T_FIELD if t else 0))
         out = {}
-        for (el2, es, et), coeff in self._terms.items():
-            key = (el2, 0 if s else es, 0 if t else et)
+        for key, coeff in self._terms.items():
+            key &= keep
             new = out.get(key, 0) + coeff
             if new:
                 out[key] = new
             else:
                 del out[key]
-        result = MultiPoly.__new__(MultiPoly)
-        result._terms = out
-        return result
+        return _new(out, self._deg)
 
     # -- rendering -----------------------------------------------------------
-
-    @staticmethod
-    def _monomial_str(el2: int, es: int, et: int) -> str:
-        parts = []
-        if el2:
-            if el2 == 2:
-                parts.append("l")
-            elif el2 % 2 == 0:
-                parts.append(f"l^{el2 // 2}")
-            else:
-                parts.append(f"l^({el2}/2)")
-        for sym, e in (("s", es), ("t", et)):
-            if e == 1:
-                parts.append(sym)
-            elif e > 1:
-                parts.append(f"{sym}^{e}")
-        return "*".join(parts)
 
     def __str__(self):
         if not self._terms:
             return "0"
         chunks = []
-        for key, coeff in self.terms():
-            mono = self._monomial_str(*key)
-            mag = abs(coeff)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not chunks:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(chunks)
+        for el2, es, et, coeff in self._ranked():
+            mono = ""  # "*"-prefixed factors
+            if el2:
+                mono = "*l" if el2 == 2 else f"*l^({el2}/2)" if el2 & 1 else f"*l^{el2 >> 1}"
+            if es:
+                mono += "*s" if es == 1 else f"*s^{es}"
+            if et:
+                mono += "*t" if et == 1 else f"*t^{et}"
+            mag = coeff if coeff > 0 else -coeff
+            body = str(mag) if not mono else mono[1:] if mag == 1 else f"{mag}{mono}"
+            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        text = " ".join(chunks)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self):
         return f"MultiPoly({self})"

@@ -46,6 +46,10 @@ def test_domain_checks():
     with pytest.raises(DomainError):
         cauchy_cfree_closed(complex(0.0, nan), 1.0)
     with pytest.raises(DomainError):
+        cauchy_cf(complex(nan, 1.0), 1.0, 1.0, 1.0, 10)
+    with pytest.raises(DomainError):
+        cauchy_cfree_closed(1 + float("inf") * 1j, 1.0)
+    with pytest.raises(DomainError):
         jacobi_floats(-1.0, 0.5, 0.5, 5)
     with pytest.raises(DomainError):
         jacobi_floats(1.0, 1.5, 0.5, 5)

@@ -432,6 +432,13 @@ def test_cauchy_domain_error_before_any_point(capsys, monkeypatch, argv):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag", ["--lam", "--s", "--t"])
+def test_cauchy_refuses_values_beyond_the_float_range(capsys, flag):
+    code, out, err = run(capsys, "cauchy", flag, "1e400", "--re", "0:1:1", "--im", "1:1:1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "float range" in err
+
+
 def test_cauchy_zero_values_equal_limit_flags(capsys):
     grid = ("--re=-1:1:3", "--im=0.5:1.5:3")
     values = run(capsys, "cauchy", "--lam", "1", "--s", "0", "--t", "0", *grid)

@@ -165,3 +165,32 @@ def test_specialize_zero_matches_numeric_limit():
         limit = p.specialize_zero(kill_s=True, kill_t=True).eval(x, 1, 1)
         approx = p.eval(x, eps, eps)
         assert abs(approx - limit) <= max(Fraction(1), abs(limit)) * Fraction(1, 10**4)
+
+
+def test_int_and_fraction_lambda_exponents_agree():
+    assert MultiPoly.term(3, el=Fraction(4, 2), es=1) == MultiPoly.term(3, el=2, es=1)
+    p = MultiPoly.term(5, el=Fraction(3, 2)) + LAM
+    assert p.coefficient(el=Fraction(3, 2)) == 5
+    assert p.coefficient(el=Fraction(2, 2)) == p.coefficient(el=1) == 1
+    with pytest.raises(ValueError):
+        p.coefficient(el=Fraction(1, 3))
+
+
+def test_exponents_past_the_packed_field_overflow():
+    with pytest.raises(OverflowError):
+        MultiPoly({(2**32, 0, 0): 1})
+    with pytest.raises(OverflowError):
+        S ** 2**32
+    with pytest.raises(OverflowError):
+        LAM ** 2**31  # 2**32 half units
+    big = S ** 2**31  # no square past the top bit of the exponent
+    assert big == MultiPoly.term(1, es=2**31)
+    assert str(big) == "s^2147483648"
+    assert list(big.terms()) == [((0, 2**31, 0), 1)]
+
+
+def test_coefficient_of_an_unrepresentable_exponent_is_zero():
+    # es = 2**32 would pack to the key of t; no term can have it
+    assert T.coefficient(es=2**32) == 0
+    assert T.coefficient(es=-1) == 0
+    assert T.coefficient(et=1) == 1
