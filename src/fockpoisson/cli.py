@@ -5,13 +5,17 @@ first character is the factor applied first to the vacuum (the rightmost
 factor of the written operator product).
 
 Options match by full name only.  Only moments --engine nc|all and partitions
---list list partitions; counts come from a recursion.  The enumeration cap
-is a CLI rule: before any engine runs, a listing of NC(n) for n above
-FOCKPOISSON_MAX_N (default 18) is refused unless --force is given.
+--list list partitions; counts come from a recursion.  The cost guards are
+CLI rules, checked before any engine runs and lifted for one run by --force:
+a listing of NC(n) for n above FOCKPOISSON_MAX_N (default 18) is refused,
+and so is moments --nmax above the blockwise, jacobi or operator engine's
+limit in ENGINE_NMAX_LIMITS (24, 30 and 32).
 
 Exit codes: 0 success; 1 cross-engine disagreement or failed relation check
 (a theorem-check failure, distinct from user error); 2 usage error; 3
-enumeration cap exceeded without --force.
+enumeration cap or engine --nmax limit exceeded without --force; 141 stdout
+closed by its reader (as in `fockpoisson ... | head`), with nothing on
+stderr.
 """
 
 from __future__ import annotations
@@ -48,6 +52,15 @@ _ENGINE_TABLES = {
 DEFAULT_MAX_N = 18
 _ENV_CAP = "FOCKPOISSON_MAX_N"
 
+# Largest moments --nmax that each walk engine computes without --force.  At
+# its limit a run took 8.1 s (blockwise), 14.1 s (jacobi) and 8.5 s (operator)
+# on a 2-vCPU VM with Python 3.11, and the cost grows by about a third
+# (jacobi, operator) to two thirds (blockwise) per row: jacobi --nmax 40 ran
+# for 3 min 46 s, blockwise --nmax 26 for 30 s.
+ENGINE_NMAX_LIMITS = {"blockwise": 24, "jacobi": 30, "operator": 32}
+
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
+
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -77,6 +90,21 @@ def _cap_exit(n: int, force: bool) -> int:
           f"this expensive (raise the cap with {_ENV_CAP})", file=sys.stderr)
     print("pass --force to override the cap for this run", file=sys.stderr)
     return 3
+
+
+def _engine_limit_exit(engines, nmax: int, force: bool) -> int:
+    """0 if every engine may compute the rows up to nmax; else report the
+    first engine whose limit nmax exceeds and return the exit code 3."""
+    if force:
+        return 0
+    for name in engines:
+        limit = ENGINE_NMAX_LIMITS.get(name)
+        if limit is not None and nmax > limit:
+            print(f"error: --nmax {nmax} exceeds the {name} engine's limit {limit}; "
+                  f"its cost grows steeply with n", file=sys.stderr)
+            print("pass --force to override the limit for this run", file=sys.stderr)
+            return 3
+    return 0
 
 
 def _add_st_flags(parser, with_lambda=True):
@@ -130,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also evaluate each row at rational lambda,s,t")
     p_mom.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     p_mom.add_argument("--force", action="store_true",
-                       help="override the nc engine's enumeration size cap")
+                       help="override the nc engine's enumeration size cap and "
+                       "the other engines' --nmax limits")
 
     p_seq = add_command("sequence", help="lam = 1 conditionally free moment sequence")
     p_seq.add_argument("--nmax", type=int, default=10)
@@ -208,6 +237,8 @@ def _cmd_moments(args) -> int:
 
     engines = ENGINE_NAMES if args.engine == "all" else (args.engine,)
     if "nc" in engines and (code := _cap_exit(args.nmax, args.force)):
+        return code
+    if code := _engine_limit_exit(engines, args.nmax, args.force):
         return code
 
     s, t = _st_values(args, ONE, ZERO, S, T)
@@ -519,8 +550,20 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        try:
+            args = _parser.parse_args(argv)
+            code = _COMMANDS[args.command](args)
+        finally:
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the
+        # interpreter's last flush of what is still buffered stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

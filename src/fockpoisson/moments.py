@@ -27,7 +27,7 @@ cfree_moments count the members of a partition family by their blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from . import fock
@@ -43,12 +43,10 @@ class DegreeOutOfRangeError(ValueError):
 # -- Jacobi parameters and orthogonal polynomials ---------------------------
 
 
-@dataclass(frozen=True)
-class JacobiParams:
+class JacobiParams(namedtuple("JacobiParams", "alpha omega")):
     """Recurrence coefficients; alpha[k-1] is alpha_k, omega[k-1] is omega_k."""
 
-    alpha: tuple
-    omega: tuple
+    __slots__ = ()
 
 
 def jacobi(kmax: int, lam=LAM, s=S, t=T) -> JacobiParams:
@@ -234,18 +232,22 @@ def moment_blockwise(n: int, s=S, t=T) -> MultiPoly:
 # -- moment tables and the functional ----------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentTable:
+class MomentTable(namedtuple("MomentTable", "n_max m")):
     """Moments m[0..n_max] as exact polynomials, m[0] = 1."""
 
-    n_max: int
-    m: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.m) != self.n_max + 1:
+    def __new__(cls, n_max, m):
+        if len(m) != n_max + 1:
             raise ValueError("table length must be n_max + 1")
-        if self.m[0] != ONE:
+        if m[0] != ONE:
             raise ValueError("m[0] must be 1")
+        return super().__new__(cls, n_max, m)
+
+    @classmethod
+    def _make(cls, iterable):
+        """As namedtuple's _make (and so _replace), but through the checks."""
+        return cls(*iterable)
 
 
 # Each engine maps n_max to [m_0, ..., m_n_max].  nc, the small-n oracle,

@@ -23,7 +23,7 @@ per-block weights without listing any partition, and so counts the families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import combinations
 
@@ -112,13 +112,10 @@ class NCPartition(SetPartition):
         return stats(self)
 
 
-@dataclass(frozen=True)
-class PartitionStats:
+class PartitionStats(namedtuple("PartitionStats", "block_depths td1 td2")):
     """Depth statistics of a non-crossing partition, in block order."""
 
-    block_depths: tuple
-    td1: int
-    td2: int
+    __slots__ = ()
 
 
 def block_depths(blocks) -> list:

@@ -29,7 +29,7 @@ exponents sum its cards': l^blocks * s^td1 * t^td2 (t^0 in the t = 1 mode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .partitions import NCPartition
@@ -152,10 +152,8 @@ class CardKind(Enum):
     N = "N"  # intermediate card in the degenerate t = 1 mode
 
 
-@dataclass(frozen=True)
-class Card:
-    kind: CardKind
-    level: int
+class Card(namedtuple("Card", "kind level")):
+    __slots__ = ()
 
     @property
     def weight(self) -> MultiPoly:

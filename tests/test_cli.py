@@ -294,6 +294,55 @@ def test_enumeration_cap_from_environment(capsys, monkeypatch):
     assert "FOCKPOISSON_MAX_N must be an integer" in err
 
 
+ENGINE_LIMITS = [("blockwise", 24), ("jacobi", 30), ("operator", 32)]
+
+
+@pytest.mark.parametrize("engine,limit", ENGINE_LIMITS)
+def test_engine_limit_refuses_before_any_work(capsys, no_engines, engine, limit):
+    code, out, err = run(capsys, "moments", "--engine", engine, "--nmax", str(limit + 1))
+    assert code == 3 and out == ""
+    assert f"--nmax {limit + 1} exceeds the {engine} engine's limit {limit}" in err
+    assert "--force" in err
+
+
+def _cheap_engines(monkeypatch):
+    """Replace the walk engines by tables whose row n is the constant n."""
+    from fockpoisson import fock, moments
+    from fockpoisson.poly import MultiPoly
+
+    def table(nmax, *args):
+        return [MultiPoly.const(n) for n in range(nmax + 1)]
+
+    monkeypatch.setattr(moments, "moment_jacobi", lambda n, s, t: MultiPoly.const(n))
+    monkeypatch.setattr(moments, "blockwise_moments", table)
+    monkeypatch.setattr(fock, "vacuum_moments", table)
+
+
+@pytest.mark.parametrize("engine,limit", ENGINE_LIMITS)
+def test_engine_limit_admits_its_limit_and_force(capsys, no_engines, engine, limit):
+    _cheap_engines(no_engines)
+    for argv in (("--nmax", str(limit)), ("--nmax", str(limit + 1), "--force")):
+        code, out, _ = run(capsys, "moments", "--engine", engine, *argv)
+        assert code == 0
+        assert out.splitlines()[-1] == f"m_{argv[1]} = {argv[1]}"
+
+
+def test_engine_limits_are_documented_and_above_the_benchmark():
+    from fockpoisson import cli
+
+    assert cli.ENGINE_NMAX_LIMITS == dict(ENGINE_LIMITS)
+    # bench/workloads.py runs jacobi --nmax 18 and operator --nmax 16
+    assert min(cli.ENGINE_NMAX_LIMITS.values()) > 18
+    assert "(24, 30 and 32)" in " ".join(cli.__doc__.split())
+
+
+def test_engine_all_meets_the_lowest_limit(capsys, no_engines):
+    no_engines.setenv("FOCKPOISSON_MAX_N", "40")
+    code, out, err = run(capsys, "moments", "--nmax", "25")
+    assert code == 3 and out == ""
+    assert "exceeds the blockwise engine's limit 24" in err
+
+
 def test_partitions_count_beyond_enumeration_cap(capsys):
     code, out, _ = run(capsys, "partitions", "--n", "19")
     assert code == 0
@@ -529,3 +578,36 @@ def test_main_calls_in_one_process_match_each_call_alone(capsys, monkeypatch, ca
             code = exc.code
         assert (code, capsys.readouterr().out) == _alone(argv), argv
     assert cli._parser is not None
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    """`fockpoisson ... | head` ends with exit 141 and nothing on stderr.  The
+    read end is closed before the command starts, so every write fails."""
+    src = str(Path(fockpoisson.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        for argv in (("fock", "--n", "3", "--dump", "poisson"), ("sequence", "--nmax", "3")):
+            proc = subprocess.run([sys.executable, "-m", "fockpoisson.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  timeout=120, env={**os.environ, "PYTHONPATH": src})
+            assert (proc.returncode, proc.stderr) == (141, ""), argv
+    finally:
+        os.close(write_end)
+
+
+def test_cli_import_loads_no_introspection_modules():
+    """Importing the CLI and building its parser loads none of the modules
+    behind dataclasses; site may have loaded some before, so only the
+    modules new to sys.modules count."""
+    src = str(Path(fockpoisson.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import fockpoisson.cli\n"
+            "fockpoisson.cli.build_parser()\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True, env={**os.environ, "PYTHONPATH": src})
+    loaded = set(proc.stdout.split())
+    assert {"fockpoisson.cli", "fockpoisson.moments"} <= loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis"}

@@ -165,9 +165,9 @@ def test_moment_table_validation_and_cache():
     assert t1.m[0] == ONE and t1.m[1] == LAM
     with pytest.raises(ValueError):
         moment_table(3, "nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"m\[0\] must be 1"):
         MomentTable(n_max=1, m=(LAM, LAM))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"table length must be n_max \+ 1"):
         MomentTable(n_max=2, m=(ONE, LAM))
 
 
