@@ -1,4 +1,4 @@
-"""Floating-point layer: Cauchy transforms, functional equations, cumulants.
+"""Floating-point layer: Cauchy transforms and functional-equation residuals.
 
 The Cauchy transform of the deformed Poisson distribution is evaluated as a
 finite continued fraction over moments.jacobi's recurrence coefficients at
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from enum import Enum
 
 from .moments import jacobi
 
@@ -97,43 +96,3 @@ def quadratic_residual(z: complex, lam: float, g: complex) -> float:
 def h_residual(z: complex, lam: float, h: complex) -> float:
     """|h - (z - lam - lam/h)|; h = 0 raises ZeroDivisionError."""
     return abs(h - (z - lam - lam / h))
-
-
-class CumulantKind(Enum):
-    SEMICIRCLE_R = "SEMICIRCLE_R"
-    CFREE_R = "CFREE_R"
-
-
-def cumulant_series(kind: CumulantKind, lam: float, nterms: int):
-    """Series coefficients of the relevant cumulant transforms.
-
-    The free cumulants of the semicircle reference (mean and variance lam)
-    are (lam, lam, 0, 0, ...); the conditionally free cumulants of the
-    deformed Poisson pair are constant: lam/(1 - z) expands to lam at every
-    order.
-    """
-    if nterms < 1:
-        raise ValueError("nterms must be >= 1")
-    if kind is CumulantKind.SEMICIRCLE_R:
-        return [lam, lam][:nterms] + [0.0] * max(0, nterms - 2)
-    if kind is CumulantKind.CFREE_R:
-        return [lam] * nterms
-    raise ValueError(f"unknown cumulant kind {kind}")
-
-
-GENERATING_M_RADIUS = 0.25
-
-
-def generating_m(z: complex) -> complex:
-    """Moment generating function of the lam = 1 conditionally free sequence.
-
-    Equals (1/z) * closed-form G(1/z) at lam = 1; defined here on the disk
-    |z| < 0.25, within the series' convergence radius (moment growth is at
-    most Catalan-like, ratio <= 4).
-    """
-    if abs(z) >= GENERATING_M_RADIUS:
-        raise DomainError(f"|z| must be < {GENERATING_M_RADIUS}")
-    root = cmath.sqrt(-3 * z**2 - 2 * z + 1)
-    numer = -3 * z**2 + 7 * z - 2 - z * root
-    denom = 2 * (z**3 - 3 * z**2 + 4 * z - 1)
-    return numer / denom

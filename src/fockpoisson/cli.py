@@ -5,17 +5,16 @@ first character is the factor applied first to the vacuum (the rightmost
 factor of the written operator product).
 
 Options match by full name only.  Only moments --engine nc|all and partitions
---list list partitions; counts come from a recursion.  The cost guards are
-CLI rules, checked before any engine runs and lifted for one run by --force:
-a listing of NC(n) for n above FOCKPOISSON_MAX_N (default 18) is refused,
-and so is moments --nmax above the blockwise, jacobi or operator engine's
-limit in ENGINE_NMAX_LIMITS (24, 30 and 32).
+--list list partitions; counts come from a recursion.  The one cost guard is
+a CLI rule, checked before any work and lifted for one run by --force: each
+engine has a largest n in ENGINE_NMAX_LIMITS (nc 12, blockwise 24, jacobi 30,
+operator 32), moments --nmax past the limit of any chosen engine is refused,
+and so is partitions --list --n past the nc limit.
 
 Exit codes: 0 success; 1 cross-engine disagreement or failed relation check
-(a theorem-check failure, distinct from user error); 2 usage error; 3
-enumeration cap or engine --nmax limit exceeded without --force; 141 stdout
-closed by its reader (as in `fockpoisson ... | head`), with nothing on
-stderr.
+(a theorem-check failure, distinct from user error); 2 usage error; 3 an
+engine's limit exceeded without --force; 141 stdout closed by its reader (as
+in `fockpoisson ... | head`, help text included), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -49,15 +48,14 @@ _ENGINE_TABLES = {
     "operator": lambda nmax, s, t: fock.vacuum_moments(nmax, None, s, t),
 }
 
-DEFAULT_MAX_N = 18
-_ENV_CAP = "FOCKPOISSON_MAX_N"
-
-# Largest moments --nmax that each walk engine computes without --force.  At
-# its limit a run took 8.1 s (blockwise), 14.1 s (jacobi) and 8.5 s (operator)
-# on a 2-vCPU VM with Python 3.11, and the cost grows by about a third
-# (jacobi, operator) to two thirds (blockwise) per row: jacobi --nmax 40 ran
-# for 3 min 46 s, blockwise --nmax 26 for 30 s.
-ENGINE_NMAX_LIMITS = {"blockwise": 24, "jacobi": 30, "operator": 32}
+# Largest n that each engine computes without --force: moments --nmax, and
+# for nc also partitions --list --n, which lists the same NC(n).  At its
+# limit a run took 2.3 s (nc; 4.4 s for partitions --list, 9.3 s with
+# --stats), 8.1 s (blockwise), 14.1 s (jacobi) and 8.5 s (operator) on a
+# 2-vCPU VM with Python 3.11, and the cost grows by about a third (jacobi,
+# operator), two thirds (blockwise) or threefold (nc) per row: jacobi --nmax
+# 40 ran for 3 min 46 s, blockwise --nmax 26 for 30 s.
+ENGINE_NMAX_LIMITS = {"nc": 12, "blockwise": 24, "jacobi": 30, "operator": 32}
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
 
@@ -73,34 +71,15 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _cap_exit(n: int, force: bool) -> int:
-    """0 if NC(n) may be listed; else report why not and return the exit
-    code: 2 for a non-integer FOCKPOISSON_MAX_N, 3 for n above the cap."""
-    if force:
-        return 0
-    raw = os.environ.get(_ENV_CAP, str(DEFAULT_MAX_N))
-    try:
-        cap = int(raw)
-    except ValueError:
-        print(f"error: {_ENV_CAP} must be an integer, got {raw!r}", file=sys.stderr)
-        return 2
-    if n <= cap:
-        return 0
-    print(f"error: n={n} exceeds the enumeration cap {cap}; Catalan growth makes "
-          f"this expensive (raise the cap with {_ENV_CAP})", file=sys.stderr)
-    print("pass --force to override the cap for this run", file=sys.stderr)
-    return 3
-
-
-def _engine_limit_exit(engines, nmax: int, force: bool) -> int:
-    """0 if every engine may compute the rows up to nmax; else report the
-    first engine whose limit nmax exceeds and return the exit code 3."""
+def _engine_limit_exit(engines, n: int, force: bool) -> int:
+    """0 if every engine may compute up to size n; else report the first
+    engine whose limit n exceeds and return the exit code 3."""
     if force:
         return 0
     for name in engines:
-        limit = ENGINE_NMAX_LIMITS.get(name)
-        if limit is not None and nmax > limit:
-            print(f"error: --nmax {nmax} exceeds the {name} engine's limit {limit}; "
+        limit = ENGINE_NMAX_LIMITS[name]
+        if n > limit:
+            print(f"error: n = {n} exceeds the {name} engine's limit {limit}; "
                   f"its cost grows steeply with n", file=sys.stderr)
             print("pass --force to override the limit for this run", file=sys.stderr)
             return 3
@@ -135,8 +114,16 @@ def _st_values(args, one, zero, s, t) -> tuple:
     return s, t
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse's own writer swallows a failed write, so --help into a closed
+    # pipe would exit 0; a plain write raises, and main exits 141 as for any
+    # other output
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fockpoisson",
         description="Moments, partitions, operator words, Fock matrices and "
         "Cauchy transforms of the (s,t)-deformed free Poisson distribution.",
@@ -158,8 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also evaluate each row at rational lambda,s,t")
     p_mom.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     p_mom.add_argument("--force", action="store_true",
-                       help="override the nc engine's enumeration size cap and "
-                       "the other engines' --nmax limits")
+                       help="override the engines' --nmax limits for this run")
 
     p_seq = add_command("sequence", help="lam = 1 conditionally free moment sequence")
     p_seq.add_argument("--nmax", type=int, default=10)
@@ -176,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --list, include depths and weights")
     p_par.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     p_par.add_argument("--force", action="store_true",
-                       help="with --list, override the enumeration size cap")
+                       help="with --list, override the nc engine's --n limit")
 
     p_wrd = add_command("words", help="admissibility, bijection, card weights")
     src = p_wrd.add_mutually_exclusive_group(required=True)
@@ -236,8 +222,6 @@ def _cmd_moments(args) -> int:
             return 2
 
     engines = ENGINE_NAMES if args.engine == "all" else (args.engine,)
-    if "nc" in engines and (code := _cap_exit(args.nmax, args.force)):
-        return code
     if code := _engine_limit_exit(engines, args.nmax, args.force):
         return code
 
@@ -336,7 +320,7 @@ def _cmd_partitions(args) -> int:
         return 0
 
     if args.list:
-        if code := _cap_exit(args.n, args.force):
+        if code := _engine_limit_exit(("nc",), args.n, args.force):
             return code
         items = []
         for p in partitions.enumerate_family(args.n, family):

@@ -167,19 +167,6 @@ def det_fraction(rows):
 # -- series extraction --------------------------------------------------------------
 
 
-def taylor_coeffs(f, radius, kmax, samples=256):
-    """Taylor coefficients of f at 0 by averaging over a circle of given radius."""
-    vals = [f(radius * cmath.exp(2j * math.pi * (j + 0.5) / samples)) for j in range(samples)]
-    out = []
-    for k in range(kmax + 1):
-        acc = sum(
-            v * cmath.exp(-2j * math.pi * (j + 0.5) * k / samples)
-            for j, v in enumerate(vals)
-        )
-        out.append((acc / samples / radius**k).real)
-    return out
-
-
 def laurent_moments(g_upper, radius, nmax, samples=512):
     """Coefficients m_n of g(z) = sum m_n z^-(n+1) from a large-circle average.
 

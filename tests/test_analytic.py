@@ -4,21 +4,17 @@ from fractions import Fraction
 import pytest
 
 from fockpoisson.analytic import (
-    GENERATING_M_RADIUS,
-    CumulantKind,
     DomainError,
     cauchy_cf,
     cauchy_cfree_closed,
     continued_fraction,
-    cumulant_series,
-    generating_m,
     h_residual,
     jacobi_floats,
     quadratic_residual,
 )
 from fockpoisson.moments import jacobi, moment_table
 
-from oracles import laurent_moments, taylor_coeffs
+from oracles import laurent_moments
 
 
 def sample_params(rng):
@@ -171,27 +167,6 @@ def test_cfree_transform_identity():
             g_mu = cauchy_cfree_closed(z, lam)
             g_nu = continued_fraction(z, [lam] * 400, [lam] * 399)
             assert abs(1 / g_mu - (z - lam / (1 - g_nu))) < 1e-12
-
-
-def test_cumulant_series():
-    assert cumulant_series(CumulantKind.CFREE_R, 2.0, 5) == [2.0, 2.0, 2.0, 2.0, 2.0]
-    assert cumulant_series(CumulantKind.SEMICIRCLE_R, 1.0, 6) == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
-    assert cumulant_series(CumulantKind.SEMICIRCLE_R, 3.0, 1) == [3.0]
-    with pytest.raises(ValueError):
-        cumulant_series(CumulantKind.CFREE_R, 1.0, 0)
-
-
-def test_generating_m_values():
-    assert abs(generating_m(0j) - 1) < 1e-15
-    got = taylor_coeffs(generating_m, 0.1, 6)
-    for val, expected in zip(got, [1, 1, 2, 5, 14, 41, 123]):
-        assert abs(val - expected) < 1e-6
-    z = 0.1
-    ref = (1 / z) * cauchy_cfree_closed(complex(1 / z, 1e-14), 1.0)
-    assert abs(generating_m(complex(z, 0)) - ref) < 1e-9
-    with pytest.raises(DomainError):
-        generating_m(0.3 + 0j)
-    assert GENERATING_M_RADIUS == 0.25
 
 
 def test_moment_consistency_with_exact_engine():

@@ -257,7 +257,6 @@ def no_engines(monkeypatch):
                          (moments, "moment_jacobi"), (moments, "motzkin_walk"),
                          (fock, "vacuum_moment"), (fock, "vacuum_moments")):
         monkeypatch.setattr(module, name, refuse)
-    monkeypatch.delenv("FOCKPOISSON_MAX_N", raising=False)
     return monkeypatch
 
 
@@ -265,11 +264,13 @@ def no_engines(monkeypatch):
     ("moments", "--nmax", "19"),
     ("moments", "--engine", "nc", "--nmax", "19"),
     ("partitions", "--n", "19", "--list"),
+    ("partitions", "--n", "13", "--list"),
 ])
 def test_enumeration_cap_refuses_before_any_engine(capsys, no_engines, argv):
     code, out, err = run(capsys, *argv)
+    n = next(arg for arg in argv if arg.isdigit())
     assert code == 3 and out == ""
-    assert "exceeds the enumeration cap 18" in err and "--force" in err
+    assert f"n = {n} exceeds the nc engine's limit 12" in err and "--force" in err
 
 
 def test_enumeration_cap_skips_engines_that_do_not_list(capsys, no_engines):
@@ -282,37 +283,26 @@ def test_enumeration_cap_skips_engines_that_do_not_list(capsys, no_engines):
     assert out.splitlines()[-1] == "m_19 = 19"
 
 
-def test_enumeration_cap_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("FOCKPOISSON_MAX_N", "3")
-    code, out, err = run(capsys, "partitions", "--n", "4", "--list")
-    assert code == 3 and out == "" and "cap 3" in err
-    code, out, _ = run(capsys, "partitions", "--n", "3", "--list")
-    assert code == 0 and len(out.splitlines()) == 5
-    monkeypatch.setenv("FOCKPOISSON_MAX_N", "junk")
-    code, out, err = run(capsys, "partitions", "--n", "3", "--list")
-    assert code == 2 and out == ""
-    assert "FOCKPOISSON_MAX_N must be an integer" in err
-
-
-ENGINE_LIMITS = [("blockwise", 24), ("jacobi", 30), ("operator", 32)]
+ENGINE_LIMITS = [("nc", 12), ("blockwise", 24), ("jacobi", 30), ("operator", 32)]
 
 
 @pytest.mark.parametrize("engine,limit", ENGINE_LIMITS)
 def test_engine_limit_refuses_before_any_work(capsys, no_engines, engine, limit):
     code, out, err = run(capsys, "moments", "--engine", engine, "--nmax", str(limit + 1))
     assert code == 3 and out == ""
-    assert f"--nmax {limit + 1} exceeds the {engine} engine's limit {limit}" in err
+    assert f"n = {limit + 1} exceeds the {engine} engine's limit {limit}" in err
     assert "--force" in err
 
 
 def _cheap_engines(monkeypatch):
-    """Replace the walk engines by tables whose row n is the constant n."""
+    """Replace the engines by tables whose row n is the constant n."""
     from fockpoisson import fock, moments
     from fockpoisson.poly import MultiPoly
 
     def table(nmax, *args):
         return [MultiPoly.const(n) for n in range(nmax + 1)]
 
+    monkeypatch.setattr(moments, "moment_nc", lambda n, s, t: MultiPoly.const(n))
     monkeypatch.setattr(moments, "moment_jacobi", lambda n, s, t: MultiPoly.const(n))
     monkeypatch.setattr(moments, "blockwise_moments", table)
     monkeypatch.setattr(fock, "vacuum_moments", table)
@@ -330,17 +320,38 @@ def test_engine_limit_admits_its_limit_and_force(capsys, no_engines, engine, lim
 def test_engine_limits_are_documented_and_above_the_benchmark():
     from fockpoisson import cli
 
-    assert cli.ENGINE_NMAX_LIMITS == dict(ENGINE_LIMITS)
-    # bench/workloads.py runs jacobi --nmax 18 and operator --nmax 16
-    assert min(cli.ENGINE_NMAX_LIMITS.values()) > 18
-    assert "(24, 30 and 32)" in " ".join(cli.__doc__.split())
+    limits = cli.ENGINE_NMAX_LIMITS
+    assert limits == dict(ENGINE_LIMITS)
+    # bench/workloads.py runs moments --engine all --nmax 10, jacobi --nmax 18,
+    # operator --nmax 16 and partitions --n 8 --list
+    assert all(limit >= 10 for limit in limits.values())
+    assert limits["jacobi"] >= 18 and limits["operator"] >= 16
+    doc = " ".join(cli.__doc__.split())
+    assert "(nc 12, blockwise 24, jacobi 30, operator 32)" in doc
 
 
 def test_engine_all_meets_the_lowest_limit(capsys, no_engines):
-    no_engines.setenv("FOCKPOISSON_MAX_N", "40")
-    code, out, err = run(capsys, "moments", "--nmax", "25")
+    code, out, err = run(capsys, "moments", "--nmax", "13")
     assert code == 3 and out == ""
-    assert "exceeds the blockwise engine's limit 24" in err
+    assert "n = 13 exceeds the nc engine's limit 12" in err
+
+
+def test_partitions_list_admits_the_nc_limit_and_force(capsys, monkeypatch):
+    from fockpoisson import partitions
+
+    listed = []
+
+    def fake_family(n, family):
+        listed.append(n)
+        return iter([partitions.NCPartition(n, [list(range(1, n + 1))])])
+
+    monkeypatch.setattr(partitions, "enumerate_family", fake_family)
+    for argv in (("--n", "12"), ("--n", "13", "--force")):
+        code, out, _ = run(capsys, "partitions", *argv, "--list")
+        n = int(argv[1])
+        assert code == 0
+        assert out == json.dumps([list(range(1, n + 1))], separators=(",", ":")) + "\n"
+    assert listed == [12, 13]
 
 
 def test_partitions_count_beyond_enumeration_cap(capsys):
@@ -581,13 +592,15 @@ def test_main_calls_in_one_process_match_each_call_alone(capsys, monkeypatch, ca
 
 
 def test_closed_stdout_pipe_exits_quietly():
-    """`fockpoisson ... | head` ends with exit 141 and nothing on stderr.  The
-    read end is closed before the command starts, so every write fails."""
+    """`fockpoisson ... | head` ends with exit 141 and nothing on stderr, help
+    text included.  The read end is closed before the command starts, so
+    every write fails."""
     src = str(Path(fockpoisson.__file__).resolve().parents[1])
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        for argv in (("fock", "--n", "3", "--dump", "poisson"), ("sequence", "--nmax", "3")):
+        for argv in (("fock", "--n", "3", "--dump", "poisson"), ("sequence", "--nmax", "3"),
+                     ("--help",), ("moments", "--help")):
             proc = subprocess.run([sys.executable, "-m", "fockpoisson.cli", *argv],
                                   stdout=write_end, stderr=subprocess.PIPE, text=True,
                                   timeout=120, env={**os.environ, "PYTHONPATH": src})
