@@ -7,7 +7,7 @@ factor of the written operator product).
 Options match by full name only.  Only moments --engine nc|all and partitions
 --list list partitions; counts come from a recursion.  The one cost guard is
 a CLI rule, checked before any work and lifted for one run by --force: each
-engine has a largest n in ENGINE_NMAX_LIMITS (nc 12, blockwise 24, jacobi 30,
+engine has a largest n in ENGINE_NMAX_LIMITS (nc 12, blockwise 24, jacobi 36,
 operator 32), moments --nmax past the limit of any chosen engine is refused,
 and so is partitions --list --n past the nc limit.
 
@@ -51,11 +51,12 @@ _ENGINE_TABLES = {
 # Largest n that each engine computes without --force: moments --nmax, and
 # for nc also partitions --list --n, which lists the same NC(n).  At its
 # limit a run took 2.3 s (nc; 4.4 s for partitions --list, 9.3 s with
-# --stats), 8.1 s (blockwise), 14.1 s (jacobi) and 8.5 s (operator) on a
-# 2-vCPU VM with Python 3.11, and the cost grows by about a third (jacobi,
-# operator), two thirds (blockwise) or threefold (nc) per row: jacobi --nmax
-# 40 ran for 3 min 46 s, blockwise --nmax 26 for 30 s.
-ENGINE_NMAX_LIMITS = {"nc": 12, "blockwise": 24, "jacobi": 30, "operator": 32}
+# --stats), 8.1 s (blockwise), 10 s (jacobi, 230 MB RSS) and 8.5 s
+# (operator) on a 2-vCPU VM with Python 3.11, and the cost grows by about a
+# fifth (jacobi), a third (operator), two thirds (blockwise) or threefold
+# (nc) per row: jacobi --nmax 40 ran for 22 s at 440 MB, blockwise --nmax 26
+# for 30 s.
+ENGINE_NMAX_LIMITS = {"nc": 12, "blockwise": 24, "jacobi": 36, "operator": 32}
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
 

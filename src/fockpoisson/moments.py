@@ -17,6 +17,13 @@ fock.vacuum_moments give a whole table m_0..m_n from one recursion or walk;
 the single-row functions are its last entry, and moment_table takes the
 table whole.
 
+For s = S and t one of T, ONE, ZERO, moment_jacobi and the jacobi table walk
+with s = 2**(2n) substituted, over MultiPoly in l and t alone, and read the
+s exponents back as base-2**(2n) digits of the coefficients (_jacobi_walk).
+Substitution commutes with the walk, and no digit carries: every
+coefficient of m_k is a nonnegative count no larger than
+m_k(1, 1, 1) = Catalan(k) < 4**k <= 4**n.
+
 Limits are substitutions made before computing: every engine takes the
 values of s and t, by default the variables S and T, and ONE or ZERO in
 their place gives s = 1, t = 1 or the s -> 0, t -> 0 limit (ZERO**0 is ONE,
@@ -33,7 +40,7 @@ from enum import Enum
 from . import fock
 from .partitions import (Family, NCPartition, block_depths, block_sums, enumerate_nc,
                          family_sums, stats)
-from .poly import LAM, ONE, S, T, ZERO, MultiPoly
+from .poly import _FIELD, LAM, ONE, S, T, ZERO, MultiPoly, _new
 
 
 class DegreeOutOfRangeError(ValueError):
@@ -179,13 +186,51 @@ def motzkin_walk(jp: JacobiParams, n: int, one) -> list:
     return table
 
 
+def _jacobi_walk(n: int, s, t):
+    """(table, read): motzkin_walk's [m_0, ..., m_n] and the map that
+    reads m_k at (s, t) off table[k].  For s = S and t one of T, ONE, ZERO
+    the walk has s = 2**(2n) and read splits each coefficient into
+    base-2**(2n) digits, digit j giving the coefficient of s^j (see the
+    module docstring); other (s, t) walk directly and read is the identity.
+    """
+    if n and s == S and t in (T, ONE, ZERO):
+        width = 2 * n
+        return (motzkin_walk(jacobi(n // 2 + 1, LAM, 1 << width, t), n, ONE),
+                lambda p: _s_digits(p, width))
+    return motzkin_walk(jacobi(n // 2 + 1, LAM, s, t), n, ONE), lambda p: p
+
+
+def _s_digits(p: MultiPoly, width: int) -> MultiPoly:
+    """Undo s = 2**width in p, whose terms are free of s and whose
+    coefficients are nonnegative.  Writes packed keys (see fockpoisson.poly)."""
+    mask = (1 << width) - 1
+    terms, deg = {}, 0
+    for key, coeff in p._terms.items():
+        es = -1
+        while coeff:
+            es += 1
+            if coeff & mask:
+                terms[key | es << 32] = coeff & mask
+            coeff >>= width
+        # the last digit is the leading one, so es is the top s exponent
+        deg = max(deg, (key & _FIELD) + es + (key >> 64))
+    return _new(terms, deg)
+
+
+def _jacobi_moments(n_max: int) -> list:
+    """[m_0, ..., m_n_max] from one walk."""
+    table, read = _jacobi_walk(n_max, S, T)
+    return [read(m) for m in table]
+
+
 def moment_jacobi(n: int, s=S, t=T) -> MultiPoly:
     """Vacuum moment as the (0,0) entry of the n-th monic Jacobi matrix power."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return ONE
-    return motzkin_walk(jacobi(n // 2 + 1, LAM, s, t), n, ONE)[n]
+    table, read = _jacobi_walk(n, s, t)
+    return read(table[n])
 
 
 def weight(p: NCPartition) -> MultiPoly:
@@ -255,7 +300,7 @@ class MomentTable(namedtuple("MomentTable", "n_max m")):
 _ENGINE_TABLES = {
     "nc": lambda n_max: [moment_nc(n) for n in range(n_max + 1)],
     "blockwise": blockwise_moments,
-    "jacobi": lambda n_max: motzkin_walk(jacobi(n_max // 2 + 1), n_max, ONE),
+    "jacobi": _jacobi_moments,
     "operator": fock.vacuum_moments,
 }
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -92,6 +93,25 @@ def test_moments_csv(capsys):
                        "--format", "csv", "--at", "2,1,1")
     assert code == 0
     assert out.splitlines() == ['n,moment,value', '1,"l",2', '2,"l^2 + l",6']
+
+
+# sha256 of the stdout of moments --engine jacobi, from the walk in s itself
+JACOBI_GOLDENS = [
+    (("--nmax", "20"), "eb73a14d794830d5442dc8d9392c25aff13ae7cd4903d952a64005492bbceaa2"),
+    (("--nmax", "20", "--format", "csv"),
+     "a076c80119cb77aa494bd6af6aee2e72a3ce383d78b01540ad9aabcbb8681770"),
+    (("--nmax", "20", "--format", "json"),
+     "3d61076a76bea5786a1e1b6b73f724348dd9b763a43d2f969afeacd6177058b0"),
+    (("--nmax", "16", "--s-one", "--t-zero", "--at", "5/2,1,0"),
+     "6be323105ec9df045f5d4c3bcee7227e471a6fbc88415d9465848ad4457344e0"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", JACOBI_GOLDENS, ids=["plain", "csv", "json", "cfree-at"])
+def test_moments_jacobi_golden_sha256(capsys, argv, digest):
+    code, out, _ = run(capsys, "moments", "--engine", "jacobi", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_sequence(capsys):
@@ -283,7 +303,7 @@ def test_enumeration_cap_skips_engines_that_do_not_list(capsys, no_engines):
     assert out.splitlines()[-1] == "m_19 = 19"
 
 
-ENGINE_LIMITS = [("nc", 12), ("blockwise", 24), ("jacobi", 30), ("operator", 32)]
+ENGINE_LIMITS = [("nc", 12), ("blockwise", 24), ("jacobi", 36), ("operator", 32)]
 
 
 @pytest.mark.parametrize("engine,limit", ENGINE_LIMITS)
@@ -327,7 +347,7 @@ def test_engine_limits_are_documented_and_above_the_benchmark():
     assert all(limit >= 10 for limit in limits.values())
     assert limits["jacobi"] >= 18 and limits["operator"] >= 16
     doc = " ".join(cli.__doc__.split())
-    assert "(nc 12, blockwise 24, jacobi 30, operator 32)" in doc
+    assert "(nc 12, blockwise 24, jacobi 36, operator 32)" in doc
 
 
 def test_engine_all_meets_the_lowest_limit(capsys, no_engines):

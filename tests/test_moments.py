@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -114,6 +115,26 @@ def test_engines_agree_at_n20():
     assert fock.vacuum_moments(20) == rows
     assert blockwise_moments(20) == rows
     assert motzkin_walk(jacobi(11), 20, ONE) == rows
+
+
+def test_catalan_bounds_every_moment_coefficient():
+    # the premise of moment_jacobi's s = 2**(2n): the coefficients of m_n sum
+    # to m_n(1, 1, 1) = Catalan(n) < 4**n, so no base-4**n digit carries
+    for n in range(1, 41):
+        catalan = comb(2 * n, n) // (n + 1)
+        assert motzkin_walk(jacobi(n // 2 + 1, 1, 1, 1), n, 1)[n] == catalan < 4**n
+
+
+@pytest.mark.parametrize("t", [T, ONE, ZERO], ids=["t", "t-one", "t-zero"])
+def test_moment_jacobi_reads_back_the_direct_walk(t):
+    m = moment_jacobi(22, S, t)
+    assert m == motzkin_walk(jacobi(12, LAM, S, t), 22, ONE)[22]
+    # the read-back's degree bound covers every term it wrote
+    assert all(m.coefficient(el2 // 2, es, et) == c for (el2, es, et), c in m.terms())
+
+
+def test_moment_table_reads_back_every_row_with_one_width():
+    assert moment_table(20, "jacobi").m == tuple(motzkin_walk(jacobi(11), 20, ONE))
 
 
 @pytest.mark.parametrize("s, t", [(ONE, ZERO), (ZERO, ZERO)], ids=["cfree", "boolean"])

@@ -1,6 +1,7 @@
-"""Property tests on random admissible words (skipped without hypothesis).
+"""Property tests on random admissible words and moment rows (skipped
+without hypothesis).
 
-Examples are derandomized and bounded, so every run checks the same words.
+Examples are derandomized and bounded, so every run checks the same cases.
 """
 
 import pytest
@@ -8,7 +9,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from fockpoisson.moments import weight  # noqa: E402
+from fockpoisson import fock  # noqa: E402
+from fockpoisson.moments import moment_jacobi, weight  # noqa: E402
+from fockpoisson.poly import ONE, S, T, ZERO  # noqa: E402
 from fockpoisson.words import OperatorWord  # noqa: E402
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -47,3 +50,11 @@ def test_total_weight_is_the_partition_weight(w):
     expected = weight(w.to_partition())
     assert w.arrangement().total_weight == expected
     assert w.arrangement(degenerate_t=True).total_weight == expected.specialize_one(t=True)
+
+
+@settings(SETTINGS, max_examples=30)
+@given(st.integers(13, 20), st.sampled_from([S, ONE, ZERO]), st.sampled_from([T, ONE, ZERO]))
+def test_moment_jacobi_equals_the_operator_walk(n, s, t):
+    # past the n <= 12 that moments --engine all compares, and through the
+    # s = 2**(2n) read-back of moment_jacobi where s = S
+    assert moment_jacobi(n, s, t) == fock.vacuum_moments(n, None, s, t)[n]
