@@ -55,6 +55,7 @@ from .moments import (
     moment_jacobi,
     moment_nc,
     moment_table,
+    nc_moments,
     ortho_polys,
 )
 from . import analytic
@@ -99,6 +100,7 @@ __all__ = [
     "moment_jacobi",
     "moment_nc",
     "moment_table",
+    "nc_moments",
     "ortho_polys",
     "analytic",
     "__version__",

@@ -38,10 +38,10 @@ ENGINE_NAMES = ("nc", "blockwise", "jacobi", "operator")
 
 # Each engine maps (nmax, s, t) to the table [m_0, ..., m_nmax].  Engines are
 # looked up by module attribute at call time, so wrappers bound to those
-# attributes (tracing, tests) see every call.  nc, the small-n oracle, runs
-# once per row.
+# attributes (tracing, tests) see every call.  nc lists NC(nmax) once and
+# reads every row from it; jacobi runs once per row.
 _ENGINE_TABLES = {
-    "nc": lambda nmax, s, t: [moments.moment_nc(n, s, t) for n in range(nmax + 1)],
+    "nc": lambda nmax, s, t: moments.nc_moments(nmax, s, t),
     "blockwise": lambda nmax, s, t: moments.blockwise_moments(nmax, s, t),
     # per row while bench/tracing.py reads its loop ops from moment_jacobi's span
     "jacobi": lambda nmax, s, t: [moments.moment_jacobi(n, s, t) for n in range(nmax + 1)],
@@ -49,13 +49,14 @@ _ENGINE_TABLES = {
 }
 
 # Largest n that each engine computes without --force: moments --nmax, and
-# for nc also partitions --list --n, which lists the same NC(n).  At its
-# limit a run took 2.3 s (nc; 4.4 s for partitions --list, 9.3 s with
-# --stats), 8.1 s (blockwise), 10 s (jacobi, 230 MB RSS) and 8.5 s
-# (operator) on a 2-vCPU VM with Python 3.11, and the cost grows by about a
-# fifth (jacobi), a third (operator), two thirds (blockwise) or threefold
-# (nc) per row: jacobi --nmax 40 ran for 22 s at 440 MB, blockwise --nmax 26
-# for 30 s.
+# for nc also partitions --list --n, which lists the same NC(n) and keeps
+# the limit 12 although the nc table is cheaper.  At its limit a run took
+# 0.7 s (nc; 3.4 s for partitions --list, 7 s with --stats), 8.1 s
+# (blockwise), 10 s (jacobi, 230 MB RSS) and 8.5 s (operator) on a 2-vCPU
+# VM with Python 3.11, and the cost grows by about a fifth (jacobi), a
+# third (operator), two thirds (blockwise) or threefold (nc) per row:
+# jacobi --nmax 40 ran for 22 s at 440 MB, blockwise --nmax 26 for 30 s,
+# nc --nmax 13 for 2.3 s.
 ENGINE_NMAX_LIMITS = {"nc": 12, "blockwise": 24, "jacobi": 36, "operator": 32}
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
@@ -324,25 +325,27 @@ def _cmd_partitions(args) -> int:
         if code := _engine_limit_exit(("nc",), args.n, args.force):
             return code
         items = []
+        as_json = args.format == "json"
         for p in partitions.enumerate_family(args.n, family):
-            blocks = json.dumps(p.to_json_obj(), separators=(",", ":"))
+            blocks = p.to_json_obj()
+            if not as_json:
+                blocks = json.dumps(blocks, separators=(",", ":"))
             if args.stats:
                 st = p.stats()
                 w = moments.weight(p)
-                if args.format == "json":
-                    items.append({"blocks": p.to_json_obj(),
+                if as_json:
+                    items.append({"blocks": blocks,
                                   "depths": list(st.block_depths),
                                   "td1": st.td1, "td2": st.td2,
                                   "weight": str(w)})
                 else:
                     print(f"{blocks} depths={list(st.block_depths)} "
                           f"td1={st.td1} td2={st.td2} weight={w}")
+            elif as_json:
+                items.append(blocks)
             else:
-                if args.format == "json":
-                    items.append(p.to_json_obj())
-                else:
-                    print(blocks)
-        if args.format == "json":
+                print(blocks)
+        if as_json:
             print(json.dumps(items))
         return 0
 
@@ -387,7 +390,8 @@ def _cmd_words(args) -> int:
         info["partition"] = word.to_partition().to_json_obj()
         info["cards"] = arr.labels()
         info["weight"] = str(weight)
-        info["weight_terms"] = weight.to_json_terms()
+        if args.format == "json":  # plain output never prints the terms
+            info["weight_terms"] = weight.to_json_terms()
         if args.cards:
             info["drawing"] = arr.render()
 

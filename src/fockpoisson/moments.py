@@ -3,7 +3,9 @@
 Three independent routes compute the same moment polynomial m_n(l, s, t):
 
   * moment_nc        - sum over the enumerated non-crossing partitions of
-                       l^blocks * s^td1 * t^td2,
+                       l^blocks * s^td1 * t^td2, counted by one walk over
+                       NC(n) whose frames carry the open block ends and
+                       the totals (partitions.nc_weight_counts),
   * moment_blockwise - the same sum as a per-block product, a block of size k
                        at depth d weighing l * s^d * t^((k-2)*d), added up by
                        the first-block recursion partitions.block_sums,
@@ -12,10 +14,12 @@ Three independent routes compute the same moment polynomial m_n(l, s, t):
 
 with the operator engine in fockpoisson.fock as a fourth.  Exact agreement of
 all four is the package's central cross-check and is wired into the test
-suite and the CLI's all-engines mode.  blockwise_moments, motzkin_walk and
-fock.vacuum_moments give a whole table m_0..m_n from one recursion or walk;
-the single-row functions are its last entry, and moment_table takes the
-table whole.
+suite and the CLI's all-engines mode.  nc_moments, blockwise_moments,
+motzkin_walk and fock.vacuum_moments give a whole table m_0..m_n from one
+walk or recursion; the single-row functions are its last entry, and
+moment_table takes the table whole.  nc_moments reads row n - j off the
+members of NC(n) whose last j points are singletons at depth 0, with j
+blocks fewer.
 
 For s = S and t one of T, ONE, ZERO, moment_jacobi and the jacobi table walk
 with s = 2**(2n) substituted, over MultiPoly in l and t alone, and read the
@@ -38,8 +42,7 @@ from collections import namedtuple
 from enum import Enum
 
 from . import fock
-from .partitions import (Family, NCPartition, block_depths, block_sums, enumerate_nc,
-                         family_sums, stats)
+from .partitions import Family, NCPartition, block_sums, family_sums, nc_weight_counts, stats
 from .poly import _FIELD, LAM, ONE, S, T, ZERO, MultiPoly, _new
 
 
@@ -239,23 +242,48 @@ def weight(p: NCPartition) -> MultiPoly:
     return MultiPoly.term(1, el=len(p.blocks), es=st.td1, et=st.td2)
 
 
-def moment_nc(n: int, s=S, t=T) -> MultiPoly:
-    """Vacuum moment as the weight sum over all non-crossing partitions."""
+def _weigh(counts: dict, s, t) -> MultiPoly:
+    """The sum of c * l^k * s^es * t^et over {(k, es, et): c}.  For s one of
+    S, ONE, ZERO and t one of T, ONE, ZERO each count is one term, and ONE
+    or ZERO is applied by specialize_one or specialize_zero; other values
+    weigh each count with ring products."""
+    if not (s in (S, ONE, ZERO) and t in (T, ONE, ZERO)):
+        return sum((c * LAM**k * s**es * t**et for (k, es, et), c in counts.items()), ZERO)
+    p = _new({2 * k | es << 32 | et << 64: c for (k, es, et), c in counts.items()},
+             max(2 * k + es + et for k, es, et in counts))
+    if ZERO in (s, t):
+        p = p.specialize_zero(kill_s=s == ZERO, kill_t=t == ZERO)
+    if ONE in (s, t):
+        p = p.specialize_one(s=s == ONE, t=t == ONE)
+    return p
+
+
+def nc_moments(n: int, s=S, t=T) -> list:
+    """[m_0, ..., m_n] as weight sums over non-crossing partitions, from one
+    walk over NC(n) (partitions.nc_weight_counts).
+
+    A partition of [n] whose last j points are singletons at depth 0 is a
+    member of NC(n - j) plus j blocks that nest nothing and sit inside
+    nothing, with the same td1 and td2, and every member of NC(n - j)
+    arises so once: row n - j sums the counts with tail >= j, with j blocks
+    fewer.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        return ONE
-    counts = {}
-    for p in enumerate_nc(n):
-        blocks = p.blocks
-        depths = block_depths(blocks)
-        td2 = 0
-        for b, d in zip(blocks, depths):
-            if len(b) > 2:
-                td2 += (len(b) - 2) * d
-        key = (len(blocks), sum(depths), td2)
-        counts[key] = counts.get(key, 0) + 1
-    return sum((c * LAM**k * s**es * t**et for (k, es, et), c in counts.items()), ZERO)
+        return [ONE]
+    rows = [{} for _ in range(n + 1)]
+    for (k, es, et, tail), c in nc_weight_counts(n).items():
+        for j in range(tail + 1):
+            row, key = rows[n - j], (k - j, es, et)
+            row[key] = row.get(key, 0) + c
+    return [ONE] + [_weigh(row, s, t) for row in rows[1:]]
+
+
+def moment_nc(n: int, s=S, t=T) -> MultiPoly:
+    """Vacuum moment as the weight sum over all non-crossing partitions
+    (see nc_moments)."""
+    return nc_moments(n, s, t)[n]
 
 
 def blockwise_moments(n: int, s=S, t=T) -> list:
@@ -295,10 +323,9 @@ class MomentTable(namedtuple("MomentTable", "n_max m")):
         return cls(*iterable)
 
 
-# Each engine maps n_max to [m_0, ..., m_n_max].  nc, the small-n oracle,
-# runs once per row; the others are one recursion or walk per table.
+# Each engine maps n_max to [m_0, ..., m_n_max], one recursion or walk per table.
 _ENGINE_TABLES = {
-    "nc": lambda n_max: [moment_nc(n) for n in range(n_max + 1)],
+    "nc": nc_moments,
     "blockwise": blockwise_moments,
     "jacobi": _jacobi_moments,
     "operator": fock.vacuum_moments,

@@ -17,8 +17,11 @@ computed once per listing and kept when the region has at most n // 2
 points (those recur often); longer regions generate them lazily.  It yields
 each non-crossing partition once in a fixed order, with no size cap (NC(n)
 grows like Catalan(n); the CLI guards its listings).  Block depths are read
-back from the blocks in one stack sweep (block_depths).  block_sums adds up
-per-block weights without listing any partition, and so counts the families.
+back from the blocks in one stack sweep (block_depths).  nc_weight_counts
+runs the same walk with block_depths' stack carried in its frames, and
+counts the partitions by blocks, td1, td2 and trailing singletons without
+building any.  block_sums adds up per-block weights without listing any
+partition, and so counts the families.
 """
 
 from __future__ import annotations
@@ -199,6 +202,56 @@ def enumerate_nc(n: int):
             stack.pop()
 
 
+def nc_weight_counts(n: int) -> dict:
+    """{(blocks, td1, td2, tail): count} over NC(n), from enumerate_nc's walk.
+
+    Each frame carries what the blocks chosen before its region give: the
+    ends of the blocks still open at the region's first point (block_depths'
+    stack, so the region's first block has their number as depth), the
+    block count, td1, td2 and tail, the run of trailing singletons at depth
+    0.  Blocks come out in order of their first point, so a depth-0
+    singleton adds 1 to tail and any other block resets it; at the end,
+    tail = j says that the last j points are singletons at depth 0.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    counts = {}
+    memo = {}  # as in enumerate_nc
+    short = n // 2
+    # frames: (choices left for the region at the front, the regions waiting
+    # after it, the ends open at its first point, blocks, td1, td2, tail)
+    stack = [(_region_choices(1, n), (), (), 0, 0, 0, 0)]
+    while stack:
+        choices, waiting, ends, k, td1, td2, tail = stack[-1]
+        d = len(ends)
+        for block, gaps in choices:
+            size = len(block)
+            nd2 = td2 + (size - 2) * d if size > 2 else td2
+            ntail = tail + 1 if size == 1 and not d else 0
+            pending = gaps + waiting
+            if not pending:
+                key = (k + 1, td1 + d, nd2, ntail)
+                counts[key] = counts.get(key, 0) + 1
+                continue
+            region = pending[0]
+            lo, hi = region
+            if hi - lo < short:
+                cached = memo.get(region)
+                if cached is None:
+                    cached = memo[region] = tuple(_region_choices(lo, hi))
+                nxt = iter(cached)
+            else:
+                nxt = _region_choices(lo, hi)
+            opened = (*ends, block[-1])
+            while opened and opened[-1] < lo:
+                opened = opened[:-1]
+            stack.append((nxt, pending[1:], opened, k + 1, td1 + d, nd2, ntail))
+            break
+        else:
+            stack.pop()
+    return counts
+
+
 class Family(Enum):
     """Restrictions on which blocks may be inner (depth >= 1)."""
 
@@ -219,10 +272,13 @@ _INNER_OK = {
 
 
 def enumerate_family(n: int, family: Family):
-    """Yield the members of the requested restricted family of NC(n)."""
+    """Yield the members of the requested restricted family of NC(n); the
+    depths are swept only for a partition with a block that may not be inner."""
     ok = _INNER_OK[family]
     for p in enumerate_nc(n):
-        if all(d == 0 or ok(len(b)) for b, d in zip(p.blocks, block_depths(p.blocks))):
+        blocks = p.blocks
+        if all(ok(len(b)) for b in blocks) or all(
+                d == 0 or ok(len(b)) for b, d in zip(blocks, block_depths(blocks))):
             yield p
 
 

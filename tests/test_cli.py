@@ -114,6 +114,78 @@ def test_moments_jacobi_golden_sha256(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of moments --engine nc and all, as the per-row
+# listing printed them before one walk over NC(nmax) gave every row
+NC_GOLDENS = [
+    (("--engine", "nc", "--nmax", "12", "--format", "plain"),
+     "54b02bcc9d8ca53242e4bd1a78fb71ee0943feff50b2fa9a4cb710dcdc915dfb"),
+    (("--engine", "all", "--nmax", "10", "--format", "plain"),
+     "1b9d26e83ecf6e99dff395ad6f1a1f1f5b5acedf8b8c1ddd00272c019576fecb"),
+    (("--engine", "nc", "--nmax", "12", "--format", "csv"),
+     "d66fe63a92654401d4a4d007e46619556986c50c6b611373d6e7f156d4455741"),
+    (("--engine", "all", "--nmax", "10", "--format", "csv"),
+     "8c94e59b1e64eb8f7f0ffcfa47204fb1f5040e4570f4787894eafdb1a2c65448"),
+    (("--engine", "nc", "--nmax", "12", "--format", "json"),
+     "026f9bd7ac44fd55a9a63af0bc243b19b3d1ffde94a2420b6fe26630ff214d11"),
+    (("--engine", "all", "--nmax", "10", "--format", "json"),
+     "c6a674e5b77a94513a2a5d5b3a1dfcc69055a0ce8a5452ca88ba95373947f8ab"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", NC_GOLDENS,
+                         ids=["-".join(argv[1::2]) for argv, _ in NC_GOLDENS])
+def test_moments_nc_golden_sha256(capsys, argv, digest):
+    code, out, _ = run(capsys, "moments", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the stdout of partitions --n 9 --list [--stats] for every family
+PARTITIONS_LIST_GOLDENS = {
+    ("NC", False, "plain"):
+        "ee1804cbf152e230066c6b29124b5fd8433362f268cfd158b5f4d8138721a362",
+    ("NC", True, "plain"):
+        "f65601a9f42c9afe2f918e7bce05f0d7674ff403114bad03596120a4832b2b2f",
+    ("NC", False, "json"):
+        "a5bee1df416aafcf5e4278374cc276895c8a6ab39b76156a0331749d0ef6d56d",
+    ("NC", True, "json"):
+        "319f7eaf466d815893610ae15dfa4ebc9b77644ed4f1907f51b979863510fa90",
+    ("INTERVAL", False, "plain"):
+        "4c304e5588cd346e41c4b45f62b64ecae9e156c86e120a14798f28e18974f9a5",
+    ("INTERVAL", True, "plain"):
+        "076f86b7a017c60fe6e0fd05c2d53f201fd15f518ac2c6601d21375add8995cf",
+    ("INTERVAL", False, "json"):
+        "c4502579819d6bef2774dca5dbb35ae8f46af3fda24d7abf443ebdfa5a39e235",
+    ("INTERVAL", True, "json"):
+        "5a18a8eee1725b2e3a004d2b3d618672378550bfff9302552f9e8b5f9b1b8b22",
+    ("ALMOST_INTERVAL", False, "plain"):
+        "0858232572e30df6a6f328c6e8a2d3c4194667cf634c311e2ff4a23e6423e25e",
+    ("ALMOST_INTERVAL", True, "plain"):
+        "397c10ba49e46580172dd10c61332d8e943dd6c469a836acd97a36244be1c004",
+    ("ALMOST_INTERVAL", False, "json"):
+        "89aac7ff6de561f4eadcb3cc6e8d29254ffa30afa2fc795231563b915722acbd",
+    ("ALMOST_INTERVAL", True, "json"):
+        "90687bccd1eeb6cd324c779799ee2b01be1756936f1b9874016af3ea9ffcddf1",
+    ("NC12_INNER", False, "plain"):
+        "54eb78e9c2456f04fa4380a1b0cbdc11bc42127f07a6edbb8cb85ebe836ae405",
+    ("NC12_INNER", True, "plain"):
+        "d5e354d0274dda6dae519578c8d451a38a4b56c13a479ee78ed6747811ee7f6f",
+    ("NC12_INNER", False, "json"):
+        "bbf6c075ee6cdc4f64e51c168ddec5046cdd4c9deabc59ea481ca3d12c3ab991",
+    ("NC12_INNER", True, "json"):
+        "b2f062acbccf9942aefb8915fcaa3d0a464cb90ece284b19bce71fc889ed0e23",
+}
+
+
+@pytest.mark.parametrize("family, with_stats, fmt", PARTITIONS_LIST_GOLDENS)
+def test_partitions_list_golden_sha256(capsys, family, with_stats, fmt):
+    argv = ["partitions", "--n", "9", "--list", "--family", family, "--format", fmt]
+    code, out, _ = run(capsys, *argv, *(["--stats"] if with_stats else []))
+    assert code == 0
+    digest = PARTITIONS_LIST_GOLDENS[family, with_stats, fmt]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_sequence(capsys):
     code, out, _ = run(capsys, "sequence", "--nmax", "10")
     assert code == 0
@@ -272,7 +344,8 @@ def no_engines(monkeypatch):
         raise AssertionError("an engine ran")
 
     for module, name in ((partitions, "enumerate_nc"), (partitions, "enumerate_family"),
-                         (moments, "enumerate_nc"), (moments, "moment_nc"),
+                         (partitions, "nc_weight_counts"), (moments, "nc_weight_counts"),
+                         (moments, "moment_nc"), (moments, "nc_moments"),
                          (moments, "moment_blockwise"), (moments, "blockwise_moments"),
                          (moments, "moment_jacobi"), (moments, "motzkin_walk"),
                          (fock, "vacuum_moment"), (fock, "vacuum_moments")):
@@ -322,7 +395,7 @@ def _cheap_engines(monkeypatch):
     def table(nmax, *args):
         return [MultiPoly.const(n) for n in range(nmax + 1)]
 
-    monkeypatch.setattr(moments, "moment_nc", lambda n, s, t: MultiPoly.const(n))
+    monkeypatch.setattr(moments, "nc_moments", table)
     monkeypatch.setattr(moments, "moment_jacobi", lambda n, s, t: MultiPoly.const(n))
     monkeypatch.setattr(moments, "blockwise_moments", table)
     monkeypatch.setattr(fock, "vacuum_moments", table)

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from fockpoisson import fock
+from fockpoisson import fock, moments
 from fockpoisson.moments import (
     DegreeOutOfRangeError,
     LimitCase,
@@ -20,10 +20,11 @@ from fockpoisson.moments import (
     moment_nc,
     moment_table,
     motzkin_walk,
+    nc_moments,
     ortho_polys,
     weight,
 )
-from fockpoisson.partitions import NCPartition
+from fockpoisson.partitions import NCPartition, block_depths, enumerate_nc, nc_weight_counts
 from fockpoisson.poly import LAM, ONE, S, T, ZERO, MultiPoly
 
 from oracles import det_fraction, interval_count_bruteforce, nc_bruteforce
@@ -97,6 +98,49 @@ def test_moment_nc_rows():
     assert moment_nc(6).eval(1, 1, 1) == 132
     m5_limit = moment_nc(5).specialize_one(s=True).specialize_zero(kill_t=True)
     assert m5_limit.eval(1, 1, 1) == 41
+
+
+def _listing_moment(n, s=S, t=T):
+    """m_n from NC(n) listed, each partition's depths swept by block_depths
+    and the counts weighed with ring powers: one row per listing."""
+    if n == 0:
+        return ONE
+    counts = {}
+    for p in enumerate_nc(n):
+        depths = block_depths(p.blocks)
+        td2 = sum((len(b) - 2) * d for b, d in zip(p.blocks, depths) if len(b) > 2)
+        key = (len(p.blocks), sum(depths), td2)
+        counts[key] = counts.get(key, 0) + 1
+    return sum((c * LAM**k * s**es * t**et for (k, es, et), c in counts.items()), ZERO)
+
+
+def test_nc_moments_equal_the_per_row_listing_sums():
+    assert nc_moments(9) == [_listing_moment(n) for n in range(10)]
+    assert nc_moments(9, ONE, ZERO) == [_listing_moment(n, ONE, ZERO) for n in range(10)]
+
+
+def test_nc_moments_match_blockwise_under_every_substitution(monkeypatch):
+    walks = {}
+
+    def walk_once(n):  # the walk does not depend on s and t
+        if n not in walks:
+            walks[n] = nc_weight_counts(n)
+        return walks[n]
+
+    monkeypatch.setattr(moments, "nc_weight_counts", walk_once)
+    for s in (S, ONE, ZERO):
+        for t in (T, ONE, ZERO):
+            assert nc_moments(12, s, t) == blockwise_moments(12, s, t), (s, t)
+            assert nc_moments(5, s, t) == blockwise_moments(5, s, t), (s, t)
+    assert list(walks) == [12, 5]
+
+
+def test_nc_moments_weigh_other_values_with_ring_products():
+    s, t = 2 * S + ONE, T * T
+    assert nc_moments(7, s, t) == blockwise_moments(7, s, t)
+    assert nc_moments(0) == [ONE] and nc_moments(1) == [ONE, LAM]
+    with pytest.raises(ValueError):
+        nc_moments(-1)
 
 
 def test_moment_blockwise_equals_nc():
@@ -192,8 +236,8 @@ def test_moment_table_validation_and_cache():
         MomentTable(n_max=2, m=(ONE, LAM))
 
 
-# nc lists NC(n) for every row: 12 would cost about 6 s, and
-# test_criterion_01 already compares its 10-row table with the others
+# nc's 12-row tables are compared with blockwise's above, and
+# test_criterion_01 compares its 10-row table with the others
 @pytest.mark.parametrize("engine, n_max", [
     ("nc", 9), ("blockwise", 12), ("jacobi", 12), ("operator", 12)])
 def test_moment_table_rows_match_moment_jacobi(engine, n_max):

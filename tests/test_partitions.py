@@ -1,7 +1,7 @@
 import hashlib
 import time
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 from itertools import islice
 
 import pytest
@@ -15,6 +15,7 @@ from fockpoisson.partitions import (
     enumerate_family,
     enumerate_nc,
     is_noncrossing,
+    nc_weight_counts,
     stats,
 )
 
@@ -133,6 +134,26 @@ def test_block_depths_match_definitions():
             assert depths == [element_depth(blocks, b[0]) for b in blocks]
 
 
+def test_nc_weight_counts_match_the_listing():
+    for n in range(1, 11):
+        expected = Counter()
+        for p in enumerate_nc(n):
+            blocks = p.blocks
+            depths = block_depths(blocks)
+            tail = 0
+            for b, d in zip(blocks, depths):
+                tail = tail + 1 if len(b) == 1 and d == 0 else 0
+            td2 = sum((len(b) - 2) * d for b, d in zip(blocks, depths) if len(b) > 2)
+            expected[len(blocks), sum(depths), td2, tail] += 1
+        assert nc_weight_counts(n) == expected, n
+    # the last j points are singletons at depth 0 exactly when tail >= j
+    counts = nc_weight_counts(6)
+    assert sum(c for key, c in counts.items() if key[3] >= 2) == 14  # |NC(4)|
+    assert counts[6, 0, 0, 6] == 1
+    with pytest.raises(ValueError):
+        nc_weight_counts(0)
+
+
 def test_stats_examples():
     st = stats(NCPartition(6, [[1, 2, 6], [3, 5], [4]]))
     assert st.block_depths == (0, 1, 2)
@@ -223,7 +244,8 @@ def test_counting_never_enumerates(monkeypatch, capsys):
         raise AssertionError("enumerated")
 
     for module, name in ((partitions, "_region_choices"), (partitions, "enumerate_nc"),
-                         (partitions, "enumerate_family"), (moments, "enumerate_nc")):
+                         (partitions, "enumerate_family"), (partitions, "nc_weight_counts"),
+                         (moments, "nc_weight_counts")):
         monkeypatch.setattr(module, name, refuse)
     with pytest.raises(AssertionError):
         moments.moment_nc(3)  # the guard bites on the enumerating engine
