@@ -45,7 +45,7 @@ _ENGINE_TABLES = {
     "blockwise": lambda nmax, s, t: moments.blockwise_moments(nmax, s, t),
     # per row while bench/tracing.py reads its loop ops from moment_jacobi's span
     "jacobi": lambda nmax, s, t: [moments.moment_jacobi(n, s, t) for n in range(nmax + 1)],
-    "operator": lambda nmax, s, t: fock.vacuum_moments(nmax, None, s, t),
+    "operator": lambda nmax, s, t: fock.vacuum_moments(nmax, s, t),
 }
 
 # Largest n that each engine computes without --force: moments --nmax, and
@@ -276,8 +276,7 @@ def _cmd_sequence(args) -> int:
         return 2
     # l = 1, s = 1, t -> 0 substituted into one Jacobi walk over the integers;
     # cfree_moments, the partition count, is the tests' oracle for these values
-    jp = moments.jacobi(args.nmax // 2 + 1, 1, 1, 0)
-    values = moments.motzkin_walk(jp, args.nmax, 1)[1:]
+    values = moments.motzkin_walk(args.nmax, 1, 1, 0)[1:]
     upto = min(args.nmax, len(CFREE_SEQUENCE_REFERENCE))
     matches = tuple(values[:upto]) == CFREE_SEQUENCE_REFERENCE[:upto]
     if args.format == "plain":
@@ -332,7 +331,7 @@ def _cmd_partitions(args) -> int:
                 blocks = json.dumps(blocks, separators=(",", ":"))
             if args.stats:
                 st = p.stats()
-                w = moments.weight(p)
+                w = moments.weight(p, st)
                 if as_json:
                     items.append({"blocks": blocks,
                                   "depths": list(st.block_depths),

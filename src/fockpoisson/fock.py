@@ -9,14 +9,15 @@ index 0 being the vacuum.  The four generators act as
     intermediate:  m -> m,   entry t^(m-1) for m >= 1, vacuum -> 0
 
 and the Poisson operator is  intermediate + sqrt(l)*(creation + annihilation)
-+ l*scalar.  Vacuum moments are the (0, 0) entries of its powers; truncating
-at N = n is exact for the n-th moment because n factors starting from the
-vacuum never reach level n+1.  The walk is trimmed further: after k of the n
-steps, a level above n - k is more steps down than remain, so nothing there
-returns to the vacuum, and vacuum_moments computes only the levels
-<= min(k, n - k) of its vector.  A path of length k <= n that returns to the
-vacuum stays within that window, so the vacuum entry after step k is exactly
-m_k, and one walk gives the whole table m_0..m_n.
++ l*scalar.  Vacuum moments are the (0, 0) entries of its powers;
+vacuum_moments(n) truncates at N = n, which is exact for the n-th moment
+because n factors starting from the vacuum never reach level n+1.  The walk
+is trimmed further: after k of the n steps, a level above n - k is more
+steps down than remain, so nothing there returns to the vacuum, and
+vacuum_moments computes only the levels <= min(k, n - k) of its vector.
+A path of length k <= n that returns to the vacuum stays within that
+window, so the vacuum entry after step k is exactly m_k, and one walk gives
+the whole table m_0..m_n.
 """
 
 from __future__ import annotations
@@ -145,29 +146,24 @@ def poisson_matrix(N: int, s=S, t=T) -> FockMatrix:
     return intermediate + (creation + annihilation).scale(SQRT_LAM) + scalar.scale(LAM)
 
 
-def vacuum_moments(n: int, N=None, s=S, t=T) -> list:
+def vacuum_moments(n: int, s=S, t=T) -> list:
     """[m_0, ..., m_n], the (0,0) entries of the Poisson operator's powers
-    0..n truncated at N (default n), from one walk from the vacuum."""
+    0..n truncated at level n, from one walk from the vacuum."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return [ONE]
-    if N is None:
-        N = n
-    if N < n:
-        raise ValueError("truncation below n is not exact")
-    P = poisson_matrix(N, s, t)
-    vec = [ONE]
-    table = [ONE]
+    P = poisson_matrix(n, s, t)
+    vec, table = [ONE], [ONE]
     for k in range(1, n + 1):
         vec = P.apply(vec, min(k, n - k) + 1)
         table.append(vec[0])
     return table
 
 
-def vacuum_moment(n: int, N=None, s=S, t=T) -> MultiPoly:
-    """(0,0) entry of the n-th power of the Poisson operator, truncated at N (default n)."""
-    return vacuum_moments(n, N, s, t)[n]
+def vacuum_moment(n: int, s=S, t=T) -> MultiPoly:
+    """(0,0) entry of the n-th power of the Poisson operator, truncated at level n."""
+    return vacuum_moments(n, s, t)[n]
 
 
 def check_relations(N: int):

@@ -16,14 +16,14 @@ with the operator engine in fockpoisson.fock as a fourth.  Exact agreement of
 all four is the package's central cross-check and is wired into the test
 suite and the CLI's all-engines mode.  nc_moments, blockwise_moments,
 motzkin_walk and fock.vacuum_moments give a whole table m_0..m_n from one
-walk or recursion; the single-row functions are its last entry, and
-moment_table takes the table whole.  nc_moments reads row n - j off the
-members of NC(n) whose last j points are singletons at depth 0, with j
-blocks fewer.
+walk or recursion that each sizes from n alone; the single-row functions
+are its last entry, and moment_table takes the table whole.  nc_moments
+reads row n - j off the members of NC(n) whose last j points are
+singletons at depth 0, with j blocks fewer.
 
 For s = S and t one of T, ONE, ZERO, moment_jacobi and the jacobi table walk
 with s = 2**(2n) substituted, over MultiPoly in l and t alone, and read the
-s exponents back as base-2**(2n) digits of the coefficients (_jacobi_walk).
+s exponents back as base-2**(2n) digits (MultiPoly.s_from_digits).
 Substitution commutes with the walk, and no digit carries: every
 coefficient of m_k is a nonnegative count no larger than
 m_k(1, 1, 1) = Catalan(k) < 4**k <= 4**n.
@@ -43,7 +43,7 @@ from enum import Enum
 
 from . import fock
 from .partitions import Family, NCPartition, block_sums, family_sums, nc_weight_counts, stats
-from .poly import _FIELD, LAM, ONE, S, T, ZERO, MultiPoly, _new
+from .poly import LAM, ONE, S, T, ZERO, MultiPoly
 
 
 class DegreeOutOfRangeError(ValueError):
@@ -158,19 +158,21 @@ def ortho_polys(nmax: int):
 # -- the three moment engines -----------------------------------------------
 
 
-def motzkin_walk(jp: JacobiParams, n: int, one) -> list:
-    """[m_0, ..., m_n] from one walk over the levels of the Jacobi matrix of
-    jp, in the ring whose unit is one (ONE for MultiPoly, 1 for int).
+def motzkin_walk(n: int, lam, s, t) -> list:
+    """[m_0, ..., m_n] from one walk over the levels of the Jacobi matrix
+    of jacobi(kmax, lam, s, t), in the ring of lam, whose unit is lam ** 0
+    (ONE for MultiPoly, 1 for int, Fraction(1) for Fraction).
 
     m_k is a sum over Motzkin paths from level 0 back to level 0 (Flajolet
     1980).  After step k of n a path is at a level <= k, and it can still
     return only from a level <= n - k, so step k computes levels
     0..min(k, n - k) alone.  The dropped levels carry no path of length
     <= n that ends at 0, so level 0 after step k is exactly m_k, and the walk
-    never goes above level n // 2; jp must reach level n // 2 + 1.
+    never goes above level n // 2, whose alpha is alpha_kmax.
     """
-    vec = [one]
-    table = [one]
+    jp = jacobi(n // 2 + 1, lam, s, t)
+    one = lam ** 0
+    vec, table = [one], [one]
     for k in range(1, n + 1):
         top = len(vec) - 1
         new = []
@@ -190,34 +192,15 @@ def motzkin_walk(jp: JacobiParams, n: int, one) -> list:
 
 
 def _jacobi_walk(n: int, s, t):
-    """(table, read): motzkin_walk's [m_0, ..., m_n] and the map that
-    reads m_k at (s, t) off table[k].  For s = S and t one of T, ONE, ZERO
-    the walk has s = 2**(2n) and read splits each coefficient into
-    base-2**(2n) digits, digit j giving the coefficient of s^j (see the
-    module docstring); other (s, t) walk directly and read is the identity.
+    """(table, read): motzkin_walk's [m_0, ..., m_n] and the map that reads
+    m_k at (s, t) off table[k].  For s = S and t one of T, ONE, ZERO the walk
+    has s = 2**(2n) and read is s_from_digits(2n) (see the module docstring);
+    other (s, t) walk directly and read is the identity.
     """
     if n and s == S and t in (T, ONE, ZERO):
         width = 2 * n
-        return (motzkin_walk(jacobi(n // 2 + 1, LAM, 1 << width, t), n, ONE),
-                lambda p: _s_digits(p, width))
-    return motzkin_walk(jacobi(n // 2 + 1, LAM, s, t), n, ONE), lambda p: p
-
-
-def _s_digits(p: MultiPoly, width: int) -> MultiPoly:
-    """Undo s = 2**width in p, whose terms are free of s and whose
-    coefficients are nonnegative.  Writes packed keys (see fockpoisson.poly)."""
-    mask = (1 << width) - 1
-    terms, deg = {}, 0
-    for key, coeff in p._terms.items():
-        es = -1
-        while coeff:
-            es += 1
-            if coeff & mask:
-                terms[key | es << 32] = coeff & mask
-            coeff >>= width
-        # the last digit is the leading one, so es is the top s exponent
-        deg = max(deg, (key & _FIELD) + es + (key >> 64))
-    return _new(terms, deg)
+        return motzkin_walk(n, LAM, 1 << width, t), lambda p: p.s_from_digits(width)
+    return motzkin_walk(n, LAM, s, t), lambda p: p
 
 
 def _jacobi_moments(n_max: int) -> list:
@@ -236,9 +219,10 @@ def moment_jacobi(n: int, s=S, t=T) -> MultiPoly:
     return read(table[n])
 
 
-def weight(p: NCPartition) -> MultiPoly:
-    """l^(number of blocks) * s^td1 * t^td2."""
-    st = stats(p)
+def weight(p: NCPartition, st=None) -> MultiPoly:
+    """l^(number of blocks) * s^td1 * t^td2; st, if given, is stats(p)."""
+    if st is None:
+        st = stats(p)
     return MultiPoly.term(1, el=len(p.blocks), es=st.td1, et=st.td2)
 
 
@@ -249,8 +233,7 @@ def _weigh(counts: dict, s, t) -> MultiPoly:
     weigh each count with ring products."""
     if not (s in (S, ONE, ZERO) and t in (T, ONE, ZERO)):
         return sum((c * LAM**k * s**es * t**et for (k, es, et), c in counts.items()), ZERO)
-    p = _new({2 * k | es << 32 | et << 64: c for (k, es, et), c in counts.items()},
-             max(2 * k + es + et for k, es, et in counts))
+    p = MultiPoly({(2 * k, es, et): c for (k, es, et), c in counts.items()})
     if ZERO in (s, t):
         p = p.specialize_zero(kill_s=s == ZERO, kill_t=t == ZERO)
     if ONE in (s, t):

@@ -13,10 +13,10 @@ elements are partitioned independently, one level deeper.  The enumerator
 is one depth-first walk with an explicit stack over a queue of pending
 regions: each step chooses the first block of the region at the front and
 puts its gaps ahead of the regions still waiting.  Each region's choices are
-computed once per listing and kept when the region has at most n // 2
-points (those recur often); longer regions generate them lazily.  It yields
-each non-crossing partition once in a fixed order, with no size cap (NC(n)
-grows like Catalan(n); the CLI guards its listings).  Block depths are read
+computed once per walk and kept when the region has at most n // 2 points
+(those recur often); longer regions generate them lazily (_choices_memo).
+It yields each non-crossing partition once in a fixed order, with no size
+cap (NC(n) grows like Catalan(n); the CLI guards its listings).  Block depths are read
 back from the blocks in one stack sweep (block_depths).  nc_weight_counts
 runs the same walk with block_depths' stack carried in its frames, and
 counts the partitions by blocks, td1, td2 and trailing singletons without
@@ -170,13 +170,30 @@ def _region_choices(lo: int, hi: int):
             yield (lo, *chosen), tuple(gaps)
 
 
+def _choices_memo(n: int):
+    """A map from a region (lo, hi) of [n] to an iterator over its choices.
+    Those of a region of at most n // 2 points are computed once and kept
+    (they recur often); longer regions generate them lazily."""
+    memo = {}
+
+    def choices(region):
+        lo, hi = region
+        if hi - lo >= n // 2:
+            return _region_choices(lo, hi)
+        cached = memo.get(region)
+        if cached is None:
+            cached = memo[region] = tuple(_region_choices(lo, hi))
+        return iter(cached)
+
+    return choices
+
+
 def enumerate_nc(n: int):
     """Yield every non-crossing partition of [n] once, in a fixed order."""
     if n < 1:
         raise ValueError("n must be >= 1")
     trusted = NCPartition._trusted
-    memo = {}  # the choices of each region of at most n // 2 points
-    short = n // 2
+    choices_of = _choices_memo(n)
     # frames: (choices left for the region at the front, the regions waiting
     # after it, the blocks chosen before it)
     stack = [(_region_choices(1, n), (), ())]
@@ -187,16 +204,7 @@ def enumerate_nc(n: int):
             if not pending:
                 yield trusted(n, (*chosen, block))
                 continue
-            region = pending[0]
-            lo, hi = region
-            if hi - lo < short:
-                cached = memo.get(region)
-                if cached is None:
-                    cached = memo[region] = tuple(_region_choices(lo, hi))
-                nxt = iter(cached)
-            else:
-                nxt = _region_choices(lo, hi)
-            stack.append((nxt, pending[1:], (*chosen, block)))
+            stack.append((choices_of(pending[0]), pending[1:], (*chosen, block)))
             break
         else:
             stack.pop()
@@ -216,8 +224,7 @@ def nc_weight_counts(n: int) -> dict:
     if n < 1:
         raise ValueError("n must be >= 1")
     counts = {}
-    memo = {}  # as in enumerate_nc
-    short = n // 2
+    choices_of = _choices_memo(n)
     # frames: (choices left for the region at the front, the regions waiting
     # after it, the ends open at its first point, blocks, td1, td2, tail)
     stack = [(_region_choices(1, n), (), (), 0, 0, 0, 0)]
@@ -234,18 +241,11 @@ def nc_weight_counts(n: int) -> dict:
                 counts[key] = counts.get(key, 0) + 1
                 continue
             region = pending[0]
-            lo, hi = region
-            if hi - lo < short:
-                cached = memo.get(region)
-                if cached is None:
-                    cached = memo[region] = tuple(_region_choices(lo, hi))
-                nxt = iter(cached)
-            else:
-                nxt = _region_choices(lo, hi)
+            lo = region[0]
             opened = (*ends, block[-1])
             while opened and opened[-1] < lo:
                 opened = opened[:-1]
-            stack.append((nxt, pending[1:], opened, k + 1, td1 + d, nd2, ntail))
+            stack.append((choices_of(region), pending[1:], opened, k + 1, td1 + d, nd2, ntail))
             break
         else:
             stack.pop()

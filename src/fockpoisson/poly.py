@@ -8,12 +8,14 @@ of lambda), and each monomial is packed into one int key:
 
     terms = {el2 | es << 32 | et << 64: coeff}
 
-so the product of two monomials is the sum of their keys.  The constructor
-and ``terms()`` speak in ``(el2, es, et)`` tuples.  The total degree
-el2 + es + et of a term must stay below 2**32, so no field can carry into
-the next: each polynomial carries an upper bound on it (the sum of the
-operands' bounds for a product, the larger one for a sum), and an operation
-whose bound passes 2**32 - 1 raises OverflowError.
+so the product of two monomials is the sum of their keys.  No other module
+reads or writes these keys: the constructor and ``terms()`` speak in
+``(el2, es, et)`` tuples, and after s = 2**width was put in,
+``s_from_digits(width)`` reads the s exponents back as base-2**width digits.
+The total degree el2 + es + et of a term must stay below 2**32, so no field
+can carry into the next: each polynomial carries an upper bound on it (the
+sum of the operands' bounds for a product, the larger one for a sum), and
+an operation whose bound passes 2**32 - 1 raises OverflowError.
 
 Every quantity the combinatorial and recurrence engines return ends up with
 integral lambda exponents; half units only appear in intermediate operator
@@ -274,6 +276,25 @@ class MultiPoly:
             else:
                 del out[key]
         return _new(out, self._deg)
+
+    def s_from_digits(self, width: int) -> "MultiPoly":
+        """Undo s = 2**width: digit j of each coefficient in base 2**width
+        becomes the coefficient of s^j.  The terms must be free of s, and
+        every coefficient before the substitution in [0, 2**width)."""
+        if width < 1:
+            raise ValueError("width must be >= 1")
+        mask = (1 << width) - 1
+        terms, deg = {}, 0
+        for key, coeff in self._terms.items():
+            es = -1
+            while coeff:
+                es += 1
+                if coeff & mask:
+                    terms[key | es << 32] = coeff & mask
+                coeff >>= width
+            # the last digit is the leading one, so es is the top s exponent
+            deg = max(deg, (key & _FIELD) + es + (key >> 64))
+        return _new(terms, _check_degree(deg))
 
     # -- rendering -----------------------------------------------------------
 

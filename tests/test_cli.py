@@ -335,6 +335,26 @@ def test_partitions_cap_exit_code(capsys):
     assert "--force" in err
 
 
+def test_partitions_list_stats_sweeps_each_partition_once(capsys, monkeypatch):
+    # NCPartition.stats reaches partitions.stats and weight reaches
+    # moments.stats: the CLI hands weight the stats it already has
+    from fockpoisson import moments, partitions
+
+    calls = []
+
+    def counted(original):
+        def wrapper(p):
+            calls.append(p)
+            return original(p)
+        return wrapper
+
+    monkeypatch.setattr(partitions, "stats", counted(partitions.stats))
+    monkeypatch.setattr(moments, "stats", counted(moments.stats))
+    code, out, _ = run(capsys, "partitions", "--n", "5", "--list", "--stats")
+    assert code == 0 and len(out.splitlines()) == 42
+    assert len(calls) == 42
+
+
 @pytest.fixture
 def no_engines(monkeypatch):
     """Make the enumerator and every moment engine raise if called."""

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from fockpoisson import fock, moments
+from fockpoisson.cli import CFREE_SEQUENCE_REFERENCE
 from fockpoisson.moments import (
     DegreeOutOfRangeError,
     LimitCase,
@@ -158,7 +159,7 @@ def test_engines_agree_at_n20():
     rows = [moment_jacobi(k) for k in range(21)]
     assert fock.vacuum_moments(20) == rows
     assert blockwise_moments(20) == rows
-    assert motzkin_walk(jacobi(11), 20, ONE) == rows
+    assert motzkin_walk(20, LAM, S, T) == rows
 
 
 def test_catalan_bounds_every_moment_coefficient():
@@ -166,25 +167,39 @@ def test_catalan_bounds_every_moment_coefficient():
     # to m_n(1, 1, 1) = Catalan(n) < 4**n, so no base-4**n digit carries
     for n in range(1, 41):
         catalan = comb(2 * n, n) // (n + 1)
-        assert motzkin_walk(jacobi(n // 2 + 1, 1, 1, 1), n, 1)[n] == catalan < 4**n
+        assert motzkin_walk(n, 1, 1, 1)[n] == catalan < 4**n
 
 
 @pytest.mark.parametrize("t", [T, ONE, ZERO], ids=["t", "t-one", "t-zero"])
 def test_moment_jacobi_reads_back_the_direct_walk(t):
     m = moment_jacobi(22, S, t)
-    assert m == motzkin_walk(jacobi(12, LAM, S, t), 22, ONE)[22]
+    assert m == motzkin_walk(22, LAM, S, t)[22]
     # the read-back's degree bound covers every term it wrote
     assert all(m.coefficient(el2 // 2, es, et) == c for (el2, es, et), c in m.terms())
 
 
 def test_moment_table_reads_back_every_row_with_one_width():
-    assert moment_table(20, "jacobi").m == tuple(motzkin_walk(jacobi(11), 20, ONE))
+    assert moment_table(20, "jacobi").m == tuple(motzkin_walk(20, LAM, S, T))
+
+
+def test_motzkin_walk_over_fractions():
+    # the walk's unit is lam ** 0, here Fraction(1); moment_jacobi evaluated
+    # at the same point is the check
+    lam, s, t = Fraction(9, 4), Fraction(2, 7), Fraction(5, 11)
+    walk = motzkin_walk(12, lam, s, t)
+    assert type(walk[0]) is Fraction
+    for n in range(13):
+        assert motzkin_walk(n, lam, s, t)[n] == walk[n] == moment_jacobi(n).eval(lam, s, t)
+
+
+def test_motzkin_walk_over_ints_is_the_cfree_sequence():
+    assert tuple(motzkin_walk(10, 1, 1, 0)[1:]) == CFREE_SEQUENCE_REFERENCE
 
 
 @pytest.mark.parametrize("s, t", [(ONE, ZERO), (ZERO, ZERO)], ids=["cfree", "boolean"])
 def test_engines_agree_at_n24_in_the_limits(s, t):
     a = moment_jacobi(24, s, t)
-    assert fock.vacuum_moment(24, None, s, t) == a
+    assert fock.vacuum_moment(24, s, t) == a
     assert moment_blockwise(24, s, t) == a
 
 
@@ -194,7 +209,7 @@ SUBSTITUTIONS = [(s, t) for s in (S, ONE, ZERO) for t in (T, ONE, ZERO) if (s, t
 @pytest.mark.parametrize("s, t", SUBSTITUTIONS)
 def test_tables_match_moment_jacobi_under_substitution(s, t):
     rows = [moment_jacobi(k, s, t) for k in range(13)]
-    assert fock.vacuum_moments(12, None, s, t) == rows
+    assert fock.vacuum_moments(12, s, t) == rows
     assert blockwise_moments(12, s, t) == rows
 
 

@@ -94,6 +94,15 @@ def test_specialize_one_merges_terms():
     assert p.specialize_one(s=True, t=True) == 4 * LAM
 
 
+def test_s_from_digits_splits_coefficients_and_needs_a_width():
+    # 2 + 3*2**4 + 2**12 is 2 + 3*s + s^3 at s = 2**4
+    p = MultiPoly.term(2 + 3 * 2**4 + 2**12, el=1, et=2)
+    expected = LAM * T**2 * (2 * ONE + 3 * S + S**3)
+    assert p.s_from_digits(4) == expected
+    with pytest.raises(ValueError):
+        p.s_from_digits(0)
+
+
 def test_render_canonical_order():
     p = LAM**3 + 3 * MultiPoly.term(1, el=2, es=1) + LAM
     assert str(p) == "l^3 + 3*l^2*s + l"

@@ -1,9 +1,12 @@
-"""Property tests for MultiPoly's ring structure (skipped without hypothesis).
+"""Property tests for MultiPoly's ring structure and its s-digit read-back
+(skipped without hypothesis).
 
 Examples are derandomized and bounded, so every run checks the same
 polynomials.  Exponents mix small values, so that terms merge and cancel,
 with values near 2**28, so that packed keys use every field.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -78,3 +81,24 @@ def test_terms_round_trip_in_graded_lex_order(p):
     keys = [k for k, _ in terms]
     assert keys == sorted(keys, key=graded_lex, reverse=True)
     assert all(c for _, c in terms)
+
+
+@st.composite
+def s_digit_polys(draw):
+    """(w, p): p in l, s and t with coefficients in [1, 2**w)."""
+    w = draw(st.integers(1, 12))
+    keys = st.tuples(exponents, st.integers(0, 4), exponents)
+    return w, MultiPoly(draw(st.dictionaries(keys, st.integers(1, 2**w - 1), max_size=6)))
+
+
+@SETTINGS
+@given(s_digit_polys())
+def test_s_from_digits_undoes_s_as_a_power_of_two(wp):
+    w, p = wp
+    substituted = {}
+    for (el2, es, et), c in p.terms():
+        substituted[el2, 0, et] = substituted.get((el2, 0, et), 0) + c * 2 ** (w * es)
+    back = MultiPoly(substituted).s_from_digits(w)
+    assert back == p
+    assert all(back.coefficient(Fraction(el2, 2), es, et) == c
+               for (el2, es, et), c in p.terms())

@@ -57,4 +57,4 @@ def test_total_weight_is_the_partition_weight(w):
 def test_moment_jacobi_equals_the_operator_walk(n, s, t):
     # past the n <= 12 that moments --engine all compares, and through the
     # s = 2**(2n) read-back of moment_jacobi where s = S
-    assert moment_jacobi(n, s, t) == fock.vacuum_moments(n, None, s, t)[n]
+    assert moment_jacobi(n, s, t) == fock.vacuum_moments(n, s, t)[n]
