@@ -69,6 +69,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
+def _at_point(text: str) -> tuple:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected L,S,T, got {text!r}")
+    return tuple(_fraction(p) for p in parts)
+
+
 def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
@@ -143,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom.add_argument("--nmax", type=int, default=7)
     p_mom.add_argument("--engine", choices=ENGINE_NAMES + ("all",), default="all")
     _add_st_flags(p_mom, with_lambda=False)
-    p_mom.add_argument("--at", metavar="L,S,T",
+    p_mom.add_argument("--at", type=_at_point, metavar="L,S,T",
                        help="also evaluate each row at rational lambda,s,t")
     p_mom.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     p_mom.add_argument("--force", action="store_true",
@@ -210,19 +217,6 @@ def _cmd_moments(args) -> int:
     if args.nmax < 0:
         print("error: --nmax must be >= 0", file=sys.stderr)
         return 2
-    at = None
-    if args.at:
-        parts = args.at.split(",")
-        if len(parts) != 3:
-            print("error: --at expects LAMBDA,S,T", file=sys.stderr)
-            return 2
-        try:
-            at = tuple(Fraction(p) for p in parts)
-        except (ValueError, ZeroDivisionError):
-            print(f"error: --at values must be rationals, got {args.at!r}",
-                  file=sys.stderr)
-            return 2
-
     engines = ENGINE_NAMES if args.engine == "all" else (args.engine,)
     if code := _engine_limit_exit(engines, args.nmax, args.force):
         return code
@@ -230,26 +224,22 @@ def _cmd_moments(args) -> int:
     s, t = _st_values(args, ONE, ZERO, S, T)
     tables = [_ENGINE_TABLES[name](args.nmax, s, t) for name in engines]
     agree = all(table[1:] == tables[0][1:] for table in tables)
-    rows = list(enumerate(tables[0]))[1:]
+    at = args.at
+    # (n, m_n, m_n at --at or None), rendered by each format below
+    rows = [(n, poly, None if at is None else poly.eval(*at))
+            for n, poly in enumerate(tables[0][1:], 1)]
 
     out = []
     if args.format == "plain":
-        for n, poly in rows:
-            line = f"m_{n} = {poly}"
-            if at is not None:
-                line += f" = {poly.eval(*at)}"
-            out.append(line)
+        for n, poly, value in rows:
+            out.append(f"m_{n} = {poly}" + ("" if value is None else f" = {value}"))
         if args.engine == "all":
             out.append("ENGINES AGREE" if agree else "ENGINE DISAGREEMENT")
         print("\n".join(out))
     elif args.format == "csv":
-        header = "n,moment" + (",value" if at is not None else "")
-        out.append(header)
-        for n, poly in rows:
-            line = f'{n},"{poly}"'
-            if at is not None:
-                line += f",{poly.eval(*at)}"
-            out.append(line)
+        out.append("n,moment" + ("" if at is None else ",value"))
+        for n, poly, value in rows:
+            out.append(f'{n},"{poly}"' + ("" if value is None else f",{value}"))
         print("\n".join(out))
     else:
         payload = {
@@ -259,9 +249,9 @@ def _cmd_moments(args) -> int:
                     "n": n,
                     "moment": str(poly),
                     "terms": poly.to_json_terms(),
-                    **({"value": str(poly.eval(*at))} if at is not None else {}),
+                    **({} if value is None else {"value": str(value)}),
                 }
-                for n, poly in rows
+                for n, poly, value in rows
             ],
         }
         if args.engine == "all":
@@ -275,7 +265,8 @@ def _cmd_sequence(args) -> int:
         print("error: --nmax must be >= 1", file=sys.stderr)
         return 2
     # l = 1, s = 1, t -> 0 substituted into one Jacobi walk over the integers;
-    # cfree_moments, the partition count, is the tests' oracle for these values
+    # cfree_moments, the first-block recursion at s = 1, t -> 0, is the tests'
+    # oracle for these values
     values = moments.motzkin_walk(args.nmax, 1, 1, 0)[1:]
     upto = min(args.nmax, len(CFREE_SEQUENCE_REFERENCE))
     matches = tuple(values[:upto]) == CFREE_SEQUENCE_REFERENCE[:upto]

@@ -31,9 +31,11 @@ m_k(1, 1, 1) = Catalan(k) < 4**k <= 4**n.
 Limits are substitutions made before computing: every engine takes the
 values of s and t, by default the variables S and T, and ONE or ZERO in
 their place gives s = 1, t = 1 or the s -> 0, t -> 0 limit (ZERO**0 is ONE,
-so exponent-zero terms survive, as in MultiPoly.specialize_zero).  In the
-three classical limits each block weighs l or nothing, so limit_case and
-cfree_moments count the members of a partition family by their blocks.
+so exponent-zero terms survive, as in MultiPoly.specialize_zero).
+limit_case and cfree_moments substitute the limit's (s, t) into the
+first-block recursion (blockwise_moments).  There each block weighs l or
+nothing, so a limit counts the members of a partition family by their
+blocks; the tests check that reading against partitions.count_by_blocks.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from collections import namedtuple
 from enum import Enum
 
 from . import fock
-from .partitions import Family, NCPartition, block_sums, family_sums, nc_weight_counts, stats
+from .partitions import NCPartition, block_sums, nc_weight_counts, stats
 from .poly import LAM, ONE, S, T, ZERO, MultiPoly
 
 
@@ -139,20 +141,19 @@ class XPoly:
 
 
 def ortho_polys(nmax: int):
-    """Monic orthogonal polynomials C_0 .. C_nmax from the three-term recurrence."""
+    """Monic orthogonal polynomials C_0 .. C_nmax from the three-term
+    recurrence, started at C_{-1} = 0 so that C_1 = x - alpha_1 is a step."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    polys = [XPoly([ONE])]
-    if nmax == 0:
-        return polys
-    polys.append(XPoly([-LAM, ONE]))
-    jp = jacobi(nmax)
-    for n in range(1, nmax):
+    polys = [XPoly([ZERO]), XPoly([ONE])]  # C_{-1}, C_0
+    jp = jacobi(nmax + 1)
+    omega = (ZERO, *jp.omega)  # omega_0 meets only C_{-1} = 0
+    for n in range(nmax):
         # C_{n+1} = (x - alpha_{n+1}) * C_n - omega_n * C_{n-1}
-        recent = polys[n]
+        recent = polys[-1]
         step = recent.shift_up() - recent * jp.alpha[n]
-        polys.append(step - polys[n - 1] * jp.omega[n - 1])
-    return polys
+        polys.append(step - polys[-2] * omega[n])
+    return polys[1:]
 
 
 # -- the three moment engines -----------------------------------------------
@@ -347,14 +348,16 @@ class LimitCase(Enum):
 
 
 def limit_case(nmax: int, case: LimitCase) -> MomentTable:
-    """Moment table in one of the three classical limits, where a partition
-    weighs l^blocks if it is in the limit's family and 0 if not."""
+    """Moment table in one of the three classical limits, from the first-block
+    recursion with the limit's (s, t) substituted.  A block weighs l or
+    nothing, so m_n counts a partition family by blocks (all non-crossing,
+    interval, inner blocks of size <= 2); the tests check it against
+    partitions.count_by_blocks."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    family = {LimitCase.FREE: Family.NC, LimitCase.BOOLEAN: Family.INTERVAL,
-              LimitCase.CFREE: Family.NC12_INNER}[case]
-    ms = family_sums(nmax, family)
-    return MomentTable(n_max=nmax, m=(ONE, *ms[1:]))
+    s, t = {LimitCase.FREE: (ONE, ONE), LimitCase.BOOLEAN: (ZERO, ZERO),
+            LimitCase.CFREE: (ONE, ZERO)}[case]
+    return MomentTable(n_max=nmax, m=tuple(blockwise_moments(nmax, s, t)))
 
 
 def cfree_moments(nmax: int) -> MomentTable:

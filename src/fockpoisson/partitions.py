@@ -21,7 +21,7 @@ back from the blocks in one stack sweep (block_depths).  nc_weight_counts
 runs the same walk with block_depths' stack carried in its frames, and
 counts the partitions by blocks, td1, td2 and trailing singletons without
 building any.  block_sums adds up per-block weights without listing any
-partition, and so counts the families.
+partition, and count_by_blocks counts the families with it.
 """
 
 from __future__ import annotations
@@ -315,15 +315,14 @@ def block_sums(n: int, weight):
     return inner
 
 
-def family_sums(n: int, family: Family):
-    """[F(0), ..., F(n)]: F(m) sums l^blocks over the family's members of NC(m)."""
-    ok = _INNER_OK[family]
-    return block_sums(n, lambda k, d: LAM if d == 0 or ok(k) else 0)
-
-
 def count_by_blocks(n: int, family: Family):
-    """Counts of family members with exactly k blocks, for k = 1..n."""
+    """Counts of family members with exactly k blocks, for k = 1..n: the
+    coefficients of l^k in the first-block recursion where a block weighs l
+    if the family admits it at its depth and 0 if not.  moments.limit_case
+    substitutes (s, t) into the moment recursion instead; the tests check
+    that NC, INTERVAL and NC12_INNER are its FREE, BOOLEAN and CFREE rows."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = family_sums(n, family)[n]
+    ok = _INNER_OK[family]
+    total = block_sums(n, lambda k, d: LAM if d == 0 or ok(k) else 0)[n]
     return [total.coefficient(el=k) for k in range(1, n + 1)]

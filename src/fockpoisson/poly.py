@@ -48,7 +48,9 @@ def _as_fraction(value) -> Fraction:
 
 
 def _exact_sqrt(q: Fraction):
-    """Exact square root of a nonnegative rational, or None."""
+    """Exact square root of a rational, or None (also when it is negative)."""
+    if q < 0:
+        return None
     rn, rd = isqrt(q.numerator), isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)

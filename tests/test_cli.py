@@ -668,6 +668,16 @@ def test_usage_errors_exit_two(capsys):
         assert "only with --list" in err
 
 
+def test_malformed_at_is_a_usage_error(capsys):
+    for at in ("1,2", "1,x,2", "1/0,1,1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["moments", "--nmax", "3", "--at", at])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --at" in err
+
+
 def test_determinism(capsys):
     first = run(capsys, "moments", "--nmax", "5", "--engine", "all")
     second = run(capsys, "moments", "--nmax", "5", "--engine", "all")

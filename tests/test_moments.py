@@ -25,7 +25,14 @@ from fockpoisson.moments import (
     ortho_polys,
     weight,
 )
-from fockpoisson.partitions import NCPartition, block_depths, enumerate_nc, nc_weight_counts
+from fockpoisson.partitions import (
+    Family,
+    NCPartition,
+    block_depths,
+    count_by_blocks,
+    enumerate_nc,
+    nc_weight_counts,
+)
 from fockpoisson.poly import LAM, ONE, S, T, ZERO, MultiPoly
 
 from oracles import det_fraction, interval_count_bruteforce, nc_bruteforce
@@ -335,6 +342,20 @@ def test_limit_cfree_delegates():
     table = limit_case(4, LimitCase.CFREE)
     assert table.m[4].eval(1, 1, 1) == 14
     assert table.m[4] == cfree_row_poly(4)
+
+
+def test_limits_count_their_partition_families():
+    # the paper's reading of the limits: substituting (s, t) into the
+    # first-block recursion weighs each member of one family by l^blocks
+    # and every other partition by 0, so m_n is a count by blocks
+    pairs = ((LimitCase.FREE, Family.NC), (LimitCase.BOOLEAN, Family.INTERVAL),
+             (LimitCase.CFREE, Family.NC12_INNER))
+    for case, family in pairs:
+        table = limit_case(12, case)
+        for n in range(1, 13):
+            counts = count_by_blocks(n, family)
+            expected = MultiPoly({(2 * k, 0, 0): c for k, c in enumerate(counts, 1)})
+            assert table.m[n] == expected, (case, n)  # no s or t left
 
 
 def test_moment_nonnegativity_and_integral_exponents():

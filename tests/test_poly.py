@@ -68,6 +68,13 @@ def test_eval_half_exponent_needs_exact_sqrt():
     assert (SQRT_LAM**3).eval(4, 1, 1) == 8
 
 
+def test_eval_half_exponent_at_negative_lambda():
+    # no rational square root: the package's error, not math.isqrt's
+    with pytest.raises(NonIntegralLambdaExponentError):
+        SQRT_LAM.eval(-4, 1, 1)
+    assert (SQRT_LAM**2).eval(-4, 1, 1) == -4  # integral exponents need no root
+
+
 def test_specialize_zero_from_nc3_weights():
     # oracle: sum the weights over NC(3) by brute force, then set s = 0
     acc = ZERO
