@@ -34,18 +34,14 @@ from .poly import ONE, S, T, ZERO
 # built-in cross-check for the sequence command (OEIS A054391 family).
 CFREE_SEQUENCE_REFERENCE = (1, 2, 5, 14, 41, 123, 374, 1147, 3538, 10958)
 
-ENGINE_NAMES = ("nc", "blockwise", "jacobi", "operator")
+ENGINE_NAMES = tuple(moments.ENGINE_TABLES)
 
-# Each engine maps (nmax, s, t) to the table [m_0, ..., m_nmax].  Engines are
-# looked up by module attribute at call time, so wrappers bound to those
-# attributes (tracing, tests) see every call.  nc lists NC(nmax) once and
-# reads every row from it; jacobi runs once per row.
+# moments.ENGINE_TABLES with one override: jacobi runs once per row, because
+# bench/tracing.py reads its loop ops from moment_jacobi's span; this line
+# goes when the spans live in the package (ROADMAP item 1).
 _ENGINE_TABLES = {
-    "nc": lambda nmax, s, t: moments.nc_moments(nmax, s, t),
-    "blockwise": lambda nmax, s, t: moments.blockwise_moments(nmax, s, t),
-    # per row while bench/tracing.py reads its loop ops from moment_jacobi's span
+    **moments.ENGINE_TABLES,
     "jacobi": lambda nmax, s, t: [moments.moment_jacobi(n, s, t) for n in range(nmax + 1)],
-    "operator": lambda nmax, s, t: fock.vacuum_moments(nmax, s, t),
 }
 
 # Largest n that each engine computes without --force: moments --nmax, and
@@ -151,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom.add_argument("--engine", choices=ENGINE_NAMES + ("all",), default="all")
     _add_st_flags(p_mom, with_lambda=False)
     p_mom.add_argument("--at", type=_at_point, metavar="L,S,T",
-                       help="also evaluate each row at rational lambda,s,t")
+                       help="also evaluate each row at rational lambda,s,t; a "
+                       "negative lambda needs the --at=L,S,T form")
     p_mom.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     p_mom.add_argument("--force", action="store_true",
                        help="override the engines' --nmax limits for this run")

@@ -14,12 +14,13 @@ Three independent routes compute the same moment polynomial m_n(l, s, t):
 
 with the operator engine in fockpoisson.fock as a fourth.  Exact agreement of
 all four is the package's central cross-check and is wired into the test
-suite and the CLI's all-engines mode.  nc_moments, blockwise_moments,
-motzkin_walk and fock.vacuum_moments give a whole table m_0..m_n from one
-walk or recursion that each sizes from n alone; the single-row functions
-are its last entry, and moment_table takes the table whole.  nc_moments
-reads row n - j off the members of NC(n) whose last j points are
-singletons at depth 0, with j blocks fewer.
+suite and the CLI's all-engines mode.  ENGINE_TABLES is the one map from
+engine name to its table function (n, s, t) -> [m_0, ..., m_n], one walk or
+recursion that each sizes from n alone; moment_table and the CLI read it,
+and the single-row functions are a table's last entry.  Every table
+function raises ValueError("n must be >= 0") for n < 0 and gives [ONE] for
+n = 0 from its walk.  nc_moments reads row n - j off the members of NC(n)
+whose last j points are singletons at depth 0, with j blocks fewer.
 
 For s = S and t one of T, ONE, ZERO, moment_jacobi and the jacobi table walk
 with s = 2**(2n) substituted, over MultiPoly in l and t alone, and read the
@@ -204,9 +205,11 @@ def _jacobi_walk(n: int, s, t):
     return motzkin_walk(n, LAM, s, t), lambda p: p
 
 
-def _jacobi_moments(n_max: int) -> list:
-    """[m_0, ..., m_n_max] from one walk."""
-    table, read = _jacobi_walk(n_max, S, T)
+def _jacobi_moments(n: int, s=S, t=T) -> list:
+    """[m_0, ..., m_n] from one walk."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    table, read = _jacobi_walk(n, s, t)
     return [read(m) for m in table]
 
 
@@ -214,8 +217,6 @@ def moment_jacobi(n: int, s=S, t=T) -> MultiPoly:
     """Vacuum moment as the (0,0) entry of the n-th monic Jacobi matrix power."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return ONE
     table, read = _jacobi_walk(n, s, t)
     return read(table[n])
 
@@ -275,8 +276,6 @@ def blockwise_moments(n: int, s=S, t=T) -> list:
     recursion: a block of size k at depth d weighs l * s^d * t^((k-2)*d)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return [ONE]
     ms = block_sums(n, lambda k, d: LAM * s**d * t ** (max(k - 2, 0) * d))
     return [ONE, *ms[1:]]
 
@@ -307,22 +306,25 @@ class MomentTable(namedtuple("MomentTable", "n_max m")):
         return cls(*iterable)
 
 
-# Each engine maps n_max to [m_0, ..., m_n_max], one recursion or walk per table.
-_ENGINE_TABLES = {
-    "nc": nc_moments,
-    "blockwise": blockwise_moments,
-    "jacobi": _jacobi_moments,
-    "operator": fock.vacuum_moments,
+# The one map from engine name to table function (n, s, t) -> [m_0, ..., m_n],
+# one recursion or walk per table.  Each entry looks its function up at call
+# time, so a wrapper bound to the module attribute (tracing, tests) sees
+# every call.
+ENGINE_TABLES = {
+    "nc": lambda n, s, t: nc_moments(n, s, t),
+    "blockwise": lambda n, s, t: blockwise_moments(n, s, t),
+    "jacobi": lambda n, s, t: _jacobi_moments(n, s, t),
+    "operator": lambda n, s, t: fock.vacuum_moments(n, s, t),
 }
 
 
 def moment_table(n_max: int, engine: str = "jacobi") -> MomentTable:
     """Moments 0..n_max via one engine."""
     try:
-        table = _ENGINE_TABLES[engine]
+        table = ENGINE_TABLES[engine]
     except KeyError:
         raise ValueError(f"unknown engine {engine!r}") from None
-    return MomentTable(n_max=n_max, m=tuple(table(n_max)))
+    return MomentTable(n_max=n_max, m=tuple(table(n_max, S, T)))
 
 
 def moment_functional(p: XPoly, table: MomentTable) -> MultiPoly:

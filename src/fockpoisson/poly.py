@@ -42,8 +42,6 @@ def _as_fraction(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -209,15 +207,12 @@ class MultiPoly:
     # -- inspection --------------------------------------------------------
 
     def _ranked(self):
-        """[(el2, es, et, coeff)] in canonical (descending graded-lex) order,
-        sorted by one small int per term: el2 + 2*es + 2*et, el2 and es (the
-        three fix et) in fields as wide as the degree bound."""
-        w = self._deg.bit_length()
-        m = (1 << w) - 1
-        ranked = {(el2 + 2 * (es + (k >> 64)) << w | el2) << w | es: c
-                  for k, c in self._terms.items() for el2 in [k & _FIELD] for es in [k >> 32 & _FIELD]}
-        return [(el2, es, ((r >> 2 * w) - el2 >> 1) - es, ranked[r])
-                for r in sorted(ranked, reverse=True) for el2 in [r >> w & m] for es in [r & m]]
+        """[(el2, es, et, coeff)] in canonical (descending graded-lex) order:
+        sorted, largest first, by (el2 + 2*es + 2*et, el2, es), which fixes
+        et."""
+        rows = [(k & _FIELD, k >> 32 & _FIELD, k >> 64, c) for k, c in self._terms.items()]
+        rows.sort(key=lambda r: (r[0] + 2 * (r[1] + r[2]), r[0], r[1]), reverse=True)
+        return rows
 
     def terms(self):
         """Yield ((el2, es, et), coeff) in canonical (descending graded-lex) order."""

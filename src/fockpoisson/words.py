@@ -44,6 +44,8 @@ class Letter(Enum):
 
 
 _CHI = {Letter.CRE: 1, Letter.ANN: -1, Letter.MID: 0, Letter.SCA: 0}
+# the lowest level a letter may sit at in an admissible word
+_FLOOR = {Letter.CRE: 0, Letter.ANN: 1, Letter.MID: 1, Letter.SCA: 0}
 _BY_CHAR = {letter.value: letter for letter in Letter}
 
 
@@ -98,14 +100,9 @@ class OperatorWord:
         return out
 
     def is_admissible(self) -> bool:
-        level = 0
-        for x in self.letters:
-            if level < 0:
-                return False
-            if x in (Letter.MID, Letter.ANN) and level < 1:
-                return False
-            level += _CHI[x]
-        return level == 0
+        levels = self.levels()
+        return not levels or (levels[-1] + _CHI[self.letters[-1]] == 0
+                              and all(lv >= _FLOOR[x] for x, lv in zip(self.letters, levels)))
 
     def to_partition(self) -> NCPartition:
         """The non-crossing partition whose element k carries this word's k-th letter."""

@@ -678,6 +678,37 @@ def test_malformed_at_is_a_usage_error(capsys):
         assert "argument --at" in err
 
 
+def test_negative_lambda_at_needs_the_equals_form(capsys):
+    code, out, _ = run(capsys, "moments", "--nmax", "2", "--engine", "jacobi", "--at=-4,1,1")
+    assert code == 0
+    assert "m_2 = l^2 + l = 12\n" in out
+    # argparse reads a separate -4,1,1 as an option
+    with pytest.raises(SystemExit) as exc:
+        main(["moments", "--nmax", "2", "--engine", "jacobi", "--at", "-4,1,1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_engines_are_the_library_tables():
+    import fockpoisson.cli as cli
+    from fockpoisson import moments
+
+    assert cli.ENGINE_NAMES == tuple(moments.ENGINE_TABLES)
+    assert set(cli.ENGINE_NMAX_LIMITS) == set(cli.ENGINE_NAMES)
+
+
+def test_per_row_jacobi_override_matches_one_walk():
+    # the one fork between cli._ENGINE_TABLES and moments.ENGINE_TABLES
+    import fockpoisson.cli as cli
+    from fockpoisson import moments
+    from fockpoisson.poly import ONE, S, T, ZERO
+
+    for s in (S, ONE, ZERO):
+        for t in (T, ONE, ZERO):
+            assert (cli._ENGINE_TABLES["jacobi"](16, s, t)
+                    == moments.ENGINE_TABLES["jacobi"](16, s, t))
+
+
 def test_determinism(capsys):
     first = run(capsys, "moments", "--nmax", "5", "--engine", "all")
     second = run(capsys, "moments", "--nmax", "5", "--engine", "all")

@@ -258,6 +258,16 @@ def test_moment_table_validation_and_cache():
         MomentTable(n_max=2, m=(ONE, LAM))
 
 
+@pytest.mark.parametrize("engine", list(moments.ENGINE_TABLES))
+def test_every_engine_table_keeps_the_contract(engine):
+    table = moments.ENGINE_TABLES[engine]
+    for s in (S, ONE, ZERO):
+        for t in (T, ONE, ZERO):
+            assert table(0, s, t) == [ONE]
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        table(-1, S, T)
+
+
 # nc's 12-row tables are compared with blockwise's above, and
 # test_criterion_01 compares its 10-row table with the others
 @pytest.mark.parametrize("engine, n_max", [

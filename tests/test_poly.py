@@ -68,6 +68,12 @@ def test_eval_half_exponent_needs_exact_sqrt():
     assert (SQRT_LAM**3).eval(4, 1, 1) == 8
 
 
+def test_eval_takes_exact_rationals_only():
+    # text is parsed by the CLI (cli._fraction), not by eval
+    with pytest.raises(TypeError):
+        (LAM + S).eval("1", 1, 1)
+
+
 def test_eval_half_exponent_at_negative_lambda():
     # no rational square root: the package's error, not math.isqrt's
     with pytest.raises(NonIntegralLambdaExponentError):
