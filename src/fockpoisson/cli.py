@@ -11,10 +11,17 @@ engine has a largest n in ENGINE_NMAX_LIMITS (nc 12, blockwise 24, jacobi 36,
 operator 32), moments --nmax past the limit of any chosen engine is refused,
 and so is partitions --list --n past the nc limit.
 
+Input is refused only through argparse: an argument's own rule is its type
+in build_parser, and a rule between two arguments, or an
+analytic.DomainError, calls the command's args.error.  A command computes,
+prints and returns 0, 1 or 3.
+
 Exit codes: 0 success; 1 cross-engine disagreement or failed relation check
-(a theorem-check failure, distinct from user error); 2 usage error; 3 an
-engine's limit exceeded without --force; 141 stdout closed by its reader (as
-in `fockpoisson ... | head`, help text included), with nothing on stderr.
+(a theorem-check failure, distinct from user error); 2 usage error,
+argparse's: a usage line, then `fockpoisson <cmd>: error: ...`, with nothing
+on stdout (a direct main() call raises SystemExit(2)); 3 an engine's limit
+exceeded without --force; 141 stdout closed by its reader (as in
+`fockpoisson ... | head`, help text included), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -72,6 +79,69 @@ def _at_point(text: str) -> tuple:
     return tuple(_fraction(p) for p in parts)
 
 
+def _float(text: str) -> float:
+    """A rational as the float that cauchy computes with."""
+    try:
+        return float(_fraction(text))
+    except OverflowError:
+        raise argparse.ArgumentTypeError(
+            f"must lie within the float range, got {text!r}") from None
+
+
+def _at_least(low: int):
+    """The argparse type of an int >= low."""
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+    convert.__name__ = "int"  # argparse reports "invalid int value: 'x'"
+    return convert
+
+
+def _grid(text: str) -> list:
+    """MIN:MAX:STEPS as STEPS evenly spaced floats, every one finite."""
+    try:
+        lo, hi, steps = text.split(":")
+        lo, hi, steps = float(lo), float(hi), int(steps)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected MIN:MAX:STEPS, got {text!r}") from None
+    if steps < 1:
+        raise argparse.ArgumentTypeError("STEPS must be >= 1")
+    grid = [lo] if steps == 1 else [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    # nan <= 0 is false, so a nan would pass every later range check
+    if not all(math.isfinite(v) for v in (lo, hi, *grid)):
+        raise argparse.ArgumentTypeError(
+            f"MIN, MAX and the grid points must be finite, got {text!r}")
+    return grid
+
+
+def _positive_grid(text: str) -> list:
+    grid = _grid(text)
+    if any(v <= 0 for v in grid):
+        raise argparse.ArgumentTypeError("imaginary parts must be positive")
+    return grid
+
+
+def _word(text: str) -> words.OperatorWord:
+    try:
+        return words.OperatorWord.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _partition_word(text: str) -> words.OperatorWord:
+    """The word of a non-crossing partition given as a JSON array of arrays."""
+    try:
+        blocks = json.loads(text)
+        if not (isinstance(blocks, list) and all(isinstance(b, list) for b in blocks)):
+            raise ValueError("expected a JSON array of arrays")
+        p = partitions.NCPartition(sum(len(b) for b in blocks), blocks)
+    except (ValueError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(f"invalid partition: {exc}") from None
+    return words.OperatorWord.from_partition(p)
+
+
 def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
@@ -91,32 +161,18 @@ def _engine_limit_exit(engines, n: int, force: bool) -> int:
     return 0
 
 
-def _add_st_flags(parser, with_lambda=True):
-    """The s/t limit flags; with_lambda adds the values --lam, --s and --t."""
-    if with_lambda:
-        parser.add_argument("--lam", type=_fraction, default=Fraction(1),
-                            help="rate parameter lambda (rational, default 1)")
+def _add_st_flags(parser, one, zero, value=None):
+    """The limit flags, which store one or zero of the command's ring in
+    args.s and args.t; a value type adds the options --s and --t."""
     for v in ("s", "t"):
         group = parser.add_mutually_exclusive_group()
-        if with_lambda:
-            group.add_argument(f"--{v}", type=_fraction, help=f"deformation parameter "
+        if value is not None:
+            group.add_argument(f"--{v}", type=value, help=f"deformation parameter "
                                f"{v} in [0, 1]; 0 and 1 equal --{v}-zero and --{v}-one")
-        group.add_argument(f"--{v}-one", action="store_true", help=f"specialize {v} = 1")
-        group.add_argument(f"--{v}-zero", action="store_true", help=f"take the limit {v} -> 0")
-
-
-def _st_values(args, one, zero, s, t) -> tuple:
-    """(s, t) after the limit flags: one or zero of the target ring where a
-    flag is given, the passed s or t where not."""
-    if args.s_one:
-        s = one
-    elif args.s_zero:
-        s = zero
-    if args.t_one:
-        t = one
-    elif args.t_zero:
-        t = zero
-    return s, t
+        group.add_argument(f"--{v}-one", dest=v, action="store_const", const=one,
+                           help=f"specialize {v} = 1")
+        group.add_argument(f"--{v}-zero", dest=v, action="store_const", const=zero,
+                           help=f"take the limit {v} -> 0")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,13 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, help):
-        return sub.add_parser(name, help=help, allow_abbrev=False)
+    def add_command(name, help, run, **defaults):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(run=run, error=p.error, **defaults)
+        return p
 
-    p_mom = add_command("moments", help="moment table by one engine or all")
-    p_mom.add_argument("--nmax", type=int, default=7)
+    p_mom = add_command("moments", "moment table by one engine or all", _cmd_moments,
+                        s=S, t=T)
+    p_mom.add_argument("--nmax", type=_at_least(0), default=7)
     p_mom.add_argument("--engine", choices=ENGINE_NAMES + ("all",), default="all")
-    _add_st_flags(p_mom, with_lambda=False)
+    _add_st_flags(p_mom, ONE, ZERO)
     p_mom.add_argument("--at", type=_at_point, metavar="L,S,T",
                        help="also evaluate each row at rational lambda,s,t; a "
                        "negative lambda needs the --at=L,S,T form")
@@ -153,12 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom.add_argument("--force", action="store_true",
                        help="override the engines' --nmax limits for this run")
 
-    p_seq = add_command("sequence", help="lam = 1 conditionally free moment sequence")
-    p_seq.add_argument("--nmax", type=int, default=10)
+    p_seq = add_command("sequence", "lam = 1 conditionally free moment sequence",
+                        _cmd_sequence)
+    p_seq.add_argument("--nmax", type=_at_least(1), default=10)
     p_seq.add_argument("--format", choices=("plain", "json"), default="plain")
 
-    p_par = add_command("partitions", help="enumerate or count partition families")
-    p_par.add_argument("--n", type=int, required=True)
+    p_par = add_command("partitions", "enumerate or count partition families",
+                        _cmd_partitions)
+    p_par.add_argument("--n", type=_at_least(1), required=True)
     p_par.add_argument("--family", choices=[f.name for f in Family], default="NC")
     mode = p_par.add_mutually_exclusive_group()
     mode.add_argument("--list", action="store_true", help="list the members")
@@ -170,18 +231,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_par.add_argument("--force", action="store_true",
                        help="with --list, override the nc engine's --n limit")
 
-    p_wrd = add_command("words", help="admissibility, bijection, card weights")
+    p_wrd = add_command("words", "admissibility, bijection, card weights", _cmd_words)
     src = p_wrd.add_mutually_exclusive_group(required=True)
-    src.add_argument("--check", metavar="WORD", help="word over C/A/M/K")
-    src.add_argument("--from-partition", metavar="JSON",
+    src.add_argument("--check", dest="word", type=_word, metavar="WORD",
+                     help="word over C/A/M/K")
+    src.add_argument("--from-partition", dest="word", type=_partition_word, metavar="JSON",
                      help="blocks as a JSON array of arrays")
     p_wrd.add_argument("--cards", action="store_true", help="draw the card arrangement")
     p_wrd.add_argument("--degenerate", action="store_true",
                        help="weigh intermediate cards in the degenerate t = 1 mode")
     p_wrd.add_argument("--format", choices=("plain", "json"), default="plain")
 
-    p_fck = add_command("fock", help="dump operator matrices, check relations")
-    p_fck.add_argument("--n", type=int, default=6, help="truncation level")
+    p_fck = add_command("fock", "dump operator matrices, check relations", _cmd_fock)
+    p_fck.add_argument("--n", type=_at_least(1), default=6, help="truncation level")
     p_fck.add_argument("--dump",
                        choices=("poisson", "creation", "annihilation", "scalar",
                                 "intermediate"),
@@ -190,14 +252,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify the commutation relations")
     p_fck.add_argument("--format", choices=("plain", "json"), default="plain")
 
-    p_cau = add_command("cauchy", help="Cauchy transform on a grid (CSV)")
-    _add_st_flags(p_cau)
-    p_cau.add_argument("--depth", type=int, default=80,
+    p_cau = add_command("cauchy", "Cauchy transform on a grid (CSV)", _cmd_cauchy,
+                        s=1.0, t=1.0)
+    p_cau.add_argument("--lam", type=_float, default=1.0,
+                       help="rate parameter lambda (rational, default 1)")
+    _add_st_flags(p_cau, 1.0, 0.0, value=_float)
+    p_cau.add_argument("--depth", type=_at_least(1), default=80,
                        help="continued fraction truncation depth")
-    p_cau.add_argument("--re", default="-2:4:7", metavar="MIN:MAX:STEPS",
+    p_cau.add_argument("--re", type=_grid, default="-2:4:7", metavar="MIN:MAX:STEPS",
                        help="grid of real parts (default -2:4:7); give a "
                        "negative MIN in the --re=MIN:MAX:STEPS form")
-    p_cau.add_argument("--im", default="0.5:3.5:7", metavar="MIN:MAX:STEPS",
+    p_cau.add_argument("--im", type=_positive_grid, default="0.5:3.5:7",
+                       metavar="MIN:MAX:STEPS",
                        help="grid of positive imaginary parts (default "
                        "0.5:3.5:7); --im=MIN:MAX:STEPS also works")
     p_cau.add_argument("--closed", action="store_true",
@@ -211,15 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_moments(args) -> int:
-    if args.nmax < 0:
-        print("error: --nmax must be >= 0", file=sys.stderr)
-        return 2
     engines = ENGINE_NAMES if args.engine == "all" else (args.engine,)
     if code := _engine_limit_exit(engines, args.nmax, args.force):
         return code
 
-    s, t = _st_values(args, ONE, ZERO, S, T)
-    tables = [_ENGINE_TABLES[name](args.nmax, s, t) for name in engines]
+    tables = [_ENGINE_TABLES[name](args.nmax, args.s, args.t) for name in engines]
     agree = all(table[1:] == tables[0][1:] for table in tables)
     at = args.at
     # (n, m_n, m_n at --at or None), rendered by each format below
@@ -258,9 +320,6 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
-    if args.nmax < 1:
-        print("error: --nmax must be >= 1", file=sys.stderr)
-        return 2
     # l = 1, s = 1, t -> 0 substituted into one Jacobi walk over the integers;
     # cfree_moments, the first-block recursion at s = 1, t -> 0, is the tests'
     # oracle for these values
@@ -282,15 +341,10 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_partitions(args) -> int:
-    if args.n < 1:
-        print("error: --n must be >= 1", file=sys.stderr)
-        return 2
     if not args.list and (args.stats or args.force):
-        print("error: --stats and --force apply only with --list", file=sys.stderr)
-        return 2
+        args.error("--stats and --force apply only with --list")
     if args.list and args.format == "csv":
-        print("error: --list has no csv format; use plain or json", file=sys.stderr)
-        return 2
+        args.error("--list has no csv format; use plain or json")
     family = Family[args.family]
 
     if args.count_by_blocks:
@@ -351,24 +405,7 @@ def _cmd_partitions(args) -> int:
 
 
 def _cmd_words(args) -> int:
-    if args.check is not None:
-        try:
-            word = words.OperatorWord.parse(args.check)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        try:
-            blocks = json.loads(args.from_partition)
-            if not (isinstance(blocks, list) and all(isinstance(b, list) for b in blocks)):
-                raise ValueError("expected a JSON array of arrays")
-            n = sum(len(b) for b in blocks)
-            p = partitions.NCPartition(n, blocks)
-        except (ValueError, TypeError) as exc:
-            print(f"error: invalid partition: {exc}", file=sys.stderr)
-            return 2
-        word = words.OperatorWord.from_partition(p)
-
+    word = args.word
     admissible = word.is_admissible()
     info = {"word": str(word), "levels": word.levels(), "admissible": admissible}
     if admissible:
@@ -402,15 +439,10 @@ def _cmd_words(args) -> int:
 
 
 def _cmd_fock(args) -> int:
-    if args.n < 1:
-        print("error: --n must be >= 1", file=sys.stderr)
-        return 2
     if not (args.dump or args.relations):
-        print("error: nothing to do; pass --dump and/or --relations", file=sys.stderr)
-        return 2
+        args.error("nothing to do; pass --dump and/or --relations")
     if args.relations and args.n < 2:
-        print("error: --relations needs --n >= 2", file=sys.stderr)
-        return 2
+        args.error("--relations needs --n >= 2")
     status = 0
     if args.dump:
         if args.dump == "poisson":
@@ -438,64 +470,27 @@ def _cmd_fock(args) -> int:
 # -- cauchy -----------------------------------------------------------------------
 
 
-def _parse_range(text: str):
-    try:
-        lo, hi, steps = text.split(":")
-        lo, hi, steps = float(lo), float(hi), int(steps)
-    except ValueError:
-        raise ValueError(f"expected MIN:MAX:STEPS, got {text!r}") from None
-    if steps < 1:
-        raise ValueError("STEPS must be >= 1")
-    grid = [lo] if steps == 1 else [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-    # nan <= 0 is false, so a nan would pass every later range check
-    if not all(math.isfinite(v) for v in (lo, hi, *grid)):
-        raise ValueError(f"MIN, MAX and the grid points must be finite, got {text!r}")
-    return grid
-
-
 def _cmd_cauchy(args) -> int:
-    try:
-        res = _parse_range(args.re)
-        ims = _parse_range(args.im)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if any(v <= 0 for v in ims):
-        print("error: imaginary parts must be positive", file=sys.stderr)
-        return 2
-    if args.depth < 1:
-        print("error: --depth must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        lam = float(args.lam)
-        s, t = _st_values(args, 1.0, 0.0,
-                          1.0 if args.s is None else float(args.s),
-                          1.0 if args.t is None else float(args.t))
-    except OverflowError:
-        print("error: --lam, --s and --t must lie within the float range", file=sys.stderr)
-        return 2
-    if args.closed and not (s == 1.0 and t == 0.0):
-        print("error: --closed requires s = 1 and t -> 0 (--s-one --t-zero)",
-              file=sys.stderr)
-        return 2
+    if args.closed and not (args.s == 1.0 and args.t == 0.0):
+        args.error("--closed requires s = 1 and t -> 0 (--s-one --t-zero)")
 
     # lam, s, t and depth are fixed for the command, so the coefficients are
-    # built once; each point is what analytic.cauchy_cf(z, ...) returns
-    rows = []
+    # built once; each point is what analytic.cauchy_cf(z, ...) returns.  The
+    # grid is finite and in the upper half-plane, so no point raises.
     try:
-        alphas, omegas = analytic.jacobi_floats(lam, s, t, args.depth)
-        for im in ims:
-            for re in res:
-                z = complex(re, im)
-                g = analytic.continued_fraction(z, alphas, omegas)
-                row = [re, im, g.real, g.imag]
-                if args.closed:
-                    gc = analytic.cauchy_cfree_closed(z, lam)
-                    row += [gc.real, gc.imag, abs(g - gc)]
-                rows.append(row)
+        alphas, omegas = analytic.jacobi_floats(args.lam, args.s, args.t, args.depth)
     except analytic.DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args.error(str(exc))
+    rows = []
+    for im in args.im:
+        for re in args.re:
+            z = complex(re, im)
+            g = analytic.continued_fraction(z, alphas, omegas)
+            row = [re, im, g.real, g.imag]
+            if args.closed:
+                gc = analytic.cauchy_cfree_closed(z, args.lam)
+                row += [gc.real, gc.imag, abs(g - gc)]
+            rows.append(row)
 
     header = ["re_z", "im_z", "re_g", "im_g"]
     if args.closed:
@@ -509,16 +504,6 @@ def _cmd_cauchy(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "moments": _cmd_moments,
-    "sequence": _cmd_sequence,
-    "partitions": _cmd_partitions,
-    "words": _cmd_words,
-    "fock": _cmd_fock,
-    "cauchy": _cmd_cauchy,
-}
-
-
 _parser = None  # built by the first main call; parsing leaves it unchanged
 
 
@@ -529,7 +514,7 @@ def main(argv=None) -> int:
     try:
         try:
             args = _parser.parse_args(argv)
-            code = _COMMANDS[args.command](args)
+            code = args.run(args)
         finally:
             sys.stdout.flush()  # a closed pipe shows here, not at exit
     except BrokenPipeError:

@@ -9,15 +9,16 @@ index 0 being the vacuum.  The four generators act as
     intermediate:  m -> m,   entry t^(m-1) for m >= 1, vacuum -> 0
 
 and the Poisson operator is  intermediate + sqrt(l)*(creation + annihilation)
-+ l*scalar.  Vacuum moments are the (0, 0) entries of its powers;
-vacuum_moments(n) truncates at N = n, which is exact for the n-th moment
-because n factors starting from the vacuum never reach level n+1.  The walk
-is trimmed further: after k of the n steps, a level above n - k is more
-steps down than remain, so nothing there returns to the vacuum, and
-vacuum_moments computes only the levels <= min(k, n - k) of its vector.
-A path of length k <= n that returns to the vacuum stays within that
-window, so the vacuum entry after step k is exactly m_k, and one walk gives
-the whole table m_0..m_n.
++ l*scalar.  Vacuum moments are the (0, 0) entries of its powers, and
+vacuum_moments(n) gets m_0..m_n from one walk from the vacuum.  After k of
+the n steps, a level above k is not reached yet and a level above n - k is
+more steps down than remain, so nothing there returns to the vacuum; the
+walk computes only the levels <= min(k, n - k) of its vector.  A path of
+length k <= n that returns to the vacuum stays within that window, so the
+vacuum entry after step k is exactly m_k.  The window never passes level
+n // 2, so the walk reads only matrix entries in rows and columns <= n // 2,
+which every truncation at N >= n // 2 shares: vacuum_moments truncates at
+N = max(1, n // 2), as motzkin_walk builds only jacobi(n // 2 + 1).
 """
 
 from __future__ import annotations
@@ -148,12 +149,10 @@ def poisson_matrix(N: int, s=S, t=T) -> FockMatrix:
 
 def vacuum_moments(n: int, s=S, t=T) -> list:
     """[m_0, ..., m_n], the (0,0) entries of the Poisson operator's powers
-    0..n truncated at level n, from one walk from the vacuum."""
+    0..n, from one walk from the vacuum truncated at level max(1, n // 2)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return [ONE]
-    P = poisson_matrix(n, s, t)
+    P = poisson_matrix(max(1, n // 2), s, t)
     vec, table = [ONE], [ONE]
     for k in range(1, n + 1):
         vec = P.apply(vec, min(k, n - k) + 1)
@@ -162,7 +161,7 @@ def vacuum_moments(n: int, s=S, t=T) -> list:
 
 
 def vacuum_moment(n: int, s=S, t=T) -> MultiPoly:
-    """(0,0) entry of the n-th power of the Poisson operator, truncated at level n."""
+    """(0,0) entry of the n-th power of the Poisson operator (see vacuum_moments)."""
     return vacuum_moments(n, s, t)[n]
 
 

@@ -140,6 +140,9 @@ class XPoly:
         # a chunk opening with a bare minus folds into the join
         return " + ".join(chunks).replace(" + -", " - ")
 
+    def __repr__(self):
+        return f"XPoly({self})"
+
 
 def ortho_polys(nmax: int):
     """Monic orthogonal polynomials C_0 .. C_nmax from the three-term
@@ -355,8 +358,6 @@ def limit_case(nmax: int, case: LimitCase) -> MomentTable:
     nothing, so m_n counts a partition family by blocks (all non-crossing,
     interval, inner blocks of size <= 2); the tests check it against
     partitions.count_by_blocks."""
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
     s, t = {LimitCase.FREE: (ONE, ONE), LimitCase.BOOLEAN: (ZERO, ZERO),
             LimitCase.CFREE: (ONE, ZERO)}[case]
     return MomentTable(n_max=nmax, m=tuple(blockwise_moments(nmax, s, t)))

@@ -53,9 +53,22 @@ re_z,im_z,re_g,im_g
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def assert_usage_error(result, command, message):
+    """argparse's usage error: exit 2, nothing on stdout, the command's usage
+    line first and its error line, holding message, last."""
+    code, out, err = result
+    lines = err.splitlines()
+    assert code == 2 and out == ""
+    assert lines[0].startswith(f"usage: fockpoisson {command} ")
+    assert lines[-1].startswith(f"fockpoisson {command}: error: ") and message in lines[-1]
 
 
 def test_moments_all_engines_cfree_table(capsys):
@@ -323,10 +336,8 @@ def test_partitions_count_csv(capsys):
 
 @pytest.mark.parametrize("extra", [(), ("--stats",)], ids=["list", "list-stats"])
 def test_partitions_list_has_no_csv(capsys, extra):
-    code, out, err = run(capsys, "partitions", "--n", "3", "--list", *extra,
-                         "--format", "csv")
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "no csv format" in err
+    result = run(capsys, "partitions", "--n", "3", "--list", *extra, "--format", "csv")
+    assert_usage_error(result, "partitions", "--list has no csv format")
 
 
 def test_partitions_cap_exit_code(capsys):
@@ -357,7 +368,8 @@ def test_partitions_list_stats_sweeps_each_partition_once(capsys, monkeypatch):
 
 @pytest.fixture
 def no_engines(monkeypatch):
-    """Make the enumerator and every moment engine raise if called."""
+    """Make the enumerator, every moment engine, the Fock matrices and the
+    continued fraction raise if called."""
     from fockpoisson import fock, moments, partitions
 
     def refuse(*args, **kwargs):
@@ -368,7 +380,9 @@ def no_engines(monkeypatch):
                          (moments, "moment_nc"), (moments, "nc_moments"),
                          (moments, "moment_blockwise"), (moments, "blockwise_moments"),
                          (moments, "moment_jacobi"), (moments, "motzkin_walk"),
-                         (fock, "vacuum_moment"), (fock, "vacuum_moments")):
+                         (fock, "vacuum_moment"), (fock, "vacuum_moments"),
+                         (fock, "build_generators"), (fock, "poisson_matrix"),
+                         (fock, "check_relations"), (analytic, "continued_fraction")):
         monkeypatch.setattr(module, name, refuse)
     return monkeypatch
 
@@ -492,9 +506,9 @@ def test_fock_relations_and_dump(capsys):
 
 
 def test_fock_usage_error_before_any_output(capsys):
-    code, out, err = run(capsys, "fock", "--n", "1", "--dump", "creation", "--relations")
-    assert code == 2 and out == ""
-    assert err == "error: --relations needs --n >= 2\n"
+    result = run(capsys, "fock", "--n", "1", "--dump", "creation", "--relations")
+    assert_usage_error(result, "fock", "--relations needs --n >= 2")
+    assert result[2].endswith("\nfockpoisson fock: error: --relations needs --n >= 2\n")
 
     code, out, _ = run(capsys, "fock", "--n", "1", "--dump", "creation")
     assert code == 0 and json.loads(out)["dim"] == 2
@@ -589,9 +603,7 @@ def test_cauchy_builds_the_coefficients_once(capsys, monkeypatch):
                                   ("--re=-1e308:1e308:3",)],
                          ids=["im-nan", "re-nan", "im-inf", "re-overflow"])
 def test_cauchy_refuses_non_finite_grids(capsys, argv):
-    code, out, err = run(capsys, "cauchy", *argv)
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "must be finite" in err
+    assert_usage_error(run(capsys, "cauchy", *argv), "cauchy", "must be finite")
 
 
 @pytest.mark.parametrize("argv", [("--lam", "0"), ("--s", "2")], ids=["lam-0", "s-2"])
@@ -600,16 +612,14 @@ def test_cauchy_domain_error_before_any_point(capsys, monkeypatch, argv):
         raise AssertionError("a point was evaluated")
 
     monkeypatch.setattr(analytic, "continued_fraction", refuse)
-    code, out, err = run(capsys, "cauchy", *argv)
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ")
+    message = "lambda must be positive" if argv[0] == "--lam" else "must lie in [0, 1]"
+    assert_usage_error(run(capsys, "cauchy", *argv), "cauchy", message)
 
 
 @pytest.mark.parametrize("flag", ["--lam", "--s", "--t"])
 def test_cauchy_refuses_values_beyond_the_float_range(capsys, flag):
-    code, out, err = run(capsys, "cauchy", flag, "1e400", "--re", "0:1:1", "--im", "1:1:1")
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "float range" in err
+    result = run(capsys, "cauchy", flag, "1e400", "--re", "0:1:1", "--im", "1:1:1")
+    assert_usage_error(result, "cauchy", f"argument {flag}: must lie within the float range")
 
 
 def test_cauchy_zero_values_equal_limit_flags(capsys):
@@ -666,6 +676,46 @@ def test_usage_errors_exit_two(capsys):
         code, out, err = run(capsys, "partitions", "--n", "4", flag)
         assert code == 2 and out == ""
         assert "only with --list" in err
+
+
+# inputs refused by a rule on one or two arguments, or by the cauchy domain,
+# with their messages
+COMMAND_INPUT_ERRORS = [
+    (("moments", "--nmax", "-1"), "argument --nmax: must be >= 0"),
+    (("sequence", "--nmax", "0"), "argument --nmax: must be >= 1"),
+    (("partitions", "--n", "0"), "argument --n: must be >= 1"),
+    (("partitions", "--n", "4", "--stats"), "--stats and --force apply only with --list"),
+    (("partitions", "--n", "4", "--force"), "--stats and --force apply only with --list"),
+    (("partitions", "--n", "3", "--list", "--format", "csv"), "--list has no csv format"),
+    (("words", "--check", "CXA"), "argument --check: invalid word letter 'X'"),
+    (("words", "--from-partition", "[[1,3],[2,4]]"),
+     "argument --from-partition: invalid partition: partition ((1, 3), (2, 4)) is crossing"),
+    (("fock", "--n", "0", "--relations"), "argument --n: must be >= 1"),
+    (("fock", "--n", "3"), "nothing to do; pass --dump and/or --relations"),
+    (("fock", "--n", "1", "--dump", "poisson", "--relations"), "--relations needs --n >= 2"),
+    (("cauchy", "--re", "oops"), "argument --re: expected MIN:MAX:STEPS, got 'oops'"),
+    (("cauchy", "--re", "0:1:0"), "argument --re: STEPS must be >= 1"),
+    (("cauchy", "--im=-1:1:3"), "argument --im: imaginary parts must be positive"),
+    (("cauchy", "--depth", "0"), "argument --depth: must be >= 1"),
+    (("cauchy", "--t", "1e400"), "argument --t: must lie within the float range"),
+    (("cauchy", "--s-zero", "--closed"), "--closed requires s = 1 and t -> 0"),
+    (("cauchy", "--lam", "-2"), "lambda must be positive, got -2.0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", COMMAND_INPUT_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in COMMAND_INPUT_ERRORS])
+def test_command_input_errors_are_usage_errors_before_any_engine(capsys, no_engines,
+                                                                 argv, message):
+    assert_usage_error(run(capsys, *argv), argv[0], message)
+
+
+def test_words_check_of_the_empty_word(capsys):
+    # the empty word is falsy, but a word all the same
+    code, out, _ = run(capsys, "words", "--check", "")
+    assert code == 0
+    assert out.splitlines() == ["word: ", "levels: ", "admissible: yes", "partition: []",
+                                "cards: ", "weight: 1"]
 
 
 def test_malformed_at_is_a_usage_error(capsys):

@@ -348,6 +348,14 @@ def test_limit_boolean_powers_of_two():
         assert table.m[n].eval(1, 1, 1) == count
 
 
+def test_limit_tables_at_n_zero():
+    for case in LimitCase:
+        assert limit_case(0, case) == MomentTable(n_max=0, m=(ONE,))
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            limit_case(-1, case)
+    assert cfree_moments(0).m == (ONE,)
+
+
 def test_limit_cfree_delegates():
     table = limit_case(4, LimitCase.CFREE)
     assert table.m[4].eval(1, 1, 1) == 14
@@ -395,4 +403,6 @@ def test_xpoly_behaviour():
     assert XPoly([ONE, ZERO]).degree == 0
     p = XPoly([LAM, ONE])
     assert str(p) == "x + l"
+    assert repr(p) == "XPoly(x + l)"
+    assert repr(ortho_polys(1)) == "[XPoly(1), XPoly(x - l)]"
     assert str(XPoly([ONE, 2 * ONE])) == "(2)*x + 1"
