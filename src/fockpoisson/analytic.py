@@ -1,4 +1,4 @@
-"""Floating-point layer: Cauchy transforms and functional-equation residuals.
+"""Floating-point layer: Cauchy transforms by continued fraction and closed form.
 
 The Cauchy transform of the deformed Poisson distribution is evaluated as a
 finite continued fraction over moments.jacobi's recurrence coefficients at
@@ -84,15 +84,3 @@ def cauchy_cfree_closed(z: complex, lam: float) -> complex:
     denom = 2 * (z**3 - (1 + 3 * lam) * z**2 + 3 * lam**2 * z - lam**3)
     return numer / denom
 
-
-def quadratic_residual(z: complex, lam: float, g: complex) -> float:
-    """|quadratic(z, g)| for the closed-form transform's defining equation."""
-    a = z**3 - (1 + 3 * lam) * z**2 + 3 * lam**2 * z - lam**3
-    b = 2 * z**2 - (2 + 5 * lam) * z + 3 * lam**2
-    c = z - (2 * lam + 1)
-    return abs(a * g * g - b * g + c)
-
-
-def h_residual(z: complex, lam: float, h: complex) -> float:
-    """|h - (z - lam - lam/h)|; h = 0 raises ZeroDivisionError."""
-    return abs(h - (z - lam - lam / h))

@@ -7,8 +7,8 @@ factor of the written operator product).
 Options match by full name only.  Only moments --engine nc|all and partitions
 --list list partitions; counts come from a recursion.  The one cost guard is
 a CLI rule, checked before any work and lifted for one run by --force: each
-engine has a largest n in ENGINE_NMAX_LIMITS (nc 12, blockwise 24, jacobi 36,
-operator 32), moments --nmax past the limit of any chosen engine is refused,
+engine has a largest n in ENGINE_NMAX_LIMITS (nc 12, blockwise 28, jacobi 36,
+operator 40), moments --nmax past the limit of any chosen engine is refused,
 and so is partitions --list --n past the nc limit.
 
 Input is refused only through argparse: an argument's own rule is its type
@@ -54,13 +54,13 @@ _ENGINE_TABLES = {
 # Largest n that each engine computes without --force: moments --nmax, and
 # for nc also partitions --list --n, which lists the same NC(n) and keeps
 # the limit 12 although the nc table is cheaper.  At its limit a run took
-# 0.7 s (nc; 3.4 s for partitions --list, 7 s with --stats), 8.1 s
-# (blockwise), 10 s (jacobi, 230 MB RSS) and 8.5 s (operator) on a 2-vCPU
-# VM with Python 3.11, and the cost grows by about a fifth (jacobi), a
-# third (operator), two thirds (blockwise) or threefold (nc) per row:
-# jacobi --nmax 40 ran for 22 s at 440 MB, blockwise --nmax 26 for 30 s,
-# nc --nmax 13 for 2.3 s.
-ENGINE_NMAX_LIMITS = {"nc": 12, "blockwise": 24, "jacobi": 36, "operator": 32}
+# 0.7 s (nc; 3.4 s for partitions --list, 7 s with --stats), 11 s
+# (blockwise, 61 MB RSS), 8 to 9 s (jacobi, 235 MB) and 12 to 13 s
+# (operator, 450 MB) on a 2-vCPU VM with Python 3.11, and the cost grows
+# by about a fifth (jacobi, operator), three quarters (blockwise) or
+# threefold (nc) per row: jacobi --nmax 40 ran for 22 s at 440 MB, nc
+# --nmax 13 for 2.3 s.
+ENGINE_NMAX_LIMITS = {"nc": 12, "blockwise": 28, "jacobi": 36, "operator": 40}
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
 
@@ -168,7 +168,8 @@ def _add_st_flags(parser, one, zero, value=None):
         group = parser.add_mutually_exclusive_group()
         if value is not None:
             group.add_argument(f"--{v}", type=value, help=f"deformation parameter "
-                               f"{v} in [0, 1]; 0 and 1 equal --{v}-zero and --{v}-one")
+                               f"{v} in [0, 1]; 0 and 1 equal --{v}-zero and --{v}-one; "
+                               f"a negative value needs the --{v}=-1/2 form")
         group.add_argument(f"--{v}-one", dest=v, action="store_const", const=one,
                            help=f"specialize {v} = 1")
         group.add_argument(f"--{v}-zero", dest=v, action="store_const", const=zero,
@@ -255,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cau = add_command("cauchy", "Cauchy transform on a grid (CSV)", _cmd_cauchy,
                         s=1.0, t=1.0)
     p_cau.add_argument("--lam", type=_float, default=1.0,
-                       help="rate parameter lambda (rational, default 1)")
+                       help="rate parameter lambda (rational, default 1); a "
+                       "negative value needs the --lam=-1/2 form")
     _add_st_flags(p_cau, 1.0, 0.0, value=_float)
     p_cau.add_argument("--depth", type=_at_least(1), default=80,
                        help="continued fraction truncation depth")

@@ -44,13 +44,6 @@ class FockMatrix:
     def zeros(cls, dim: int) -> "FockMatrix":
         return cls([[ZERO] * dim for _ in range(dim)])
 
-    @classmethod
-    def identity(cls, dim: int) -> "FockMatrix":
-        m = cls.zeros(dim)
-        for i in range(dim):
-            m.entries[i][i] = ONE
-        return m
-
     def __eq__(self, other):
         if not isinstance(other, FockMatrix):
             return NotImplemented

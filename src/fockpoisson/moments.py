@@ -22,12 +22,16 @@ function raises ValueError("n must be >= 0") for n < 0 and gives [ONE] for
 n = 0 from its walk.  nc_moments reads row n - j off the members of NC(n)
 whose last j points are singletons at depth 0, with j blocks fewer.
 
-For s = S and t one of T, ONE, ZERO, moment_jacobi and the jacobi table walk
-with s = 2**(2n) substituted, over MultiPoly in l and t alone, and read the
-s exponents back as base-2**(2n) digits (MultiPoly.s_from_digits).
-Substitution commutes with the walk, and no digit carries: every
-coefficient of m_k is a nonnegative count no larger than
-m_k(1, 1, 1) = Catalan(k) < 4**k <= 4**n.
+For s = S and t one of T, ONE, ZERO, the jacobi, operator and blockwise
+tables walk with s = 2**(2n) substituted, over MultiPoly in l and t alone,
+and read the s exponents back as base-2**(2n) digits
+(MultiPoly.s_from_digits); moment_jacobi does so for its one row.  The
+combinatorial formula makes this exact for all three: m_k is the sum over
+NC(k) of l^blocks * s^td1 * t^td2, so every coefficient of m_k is a
+nonnegative count, and the counts add up to m_k(1, 1, 1) = Catalan(k) <
+4**k <= 4**n.  Substitution is a ring map, so it commutes with any walk,
+and no digit carries.  nc counts the s exponents directly and walks no
+ring, so it substitutes nothing.
 
 Limits are substitutions made before computing: every engine takes the
 values of s and t, by default the variables S and T, and ONE or ZERO in
@@ -175,6 +179,8 @@ def motzkin_walk(n: int, lam, s, t) -> list:
     <= n that ends at 0, so level 0 after step k is exactly m_k, and the walk
     never goes above level n // 2, whose alpha is alpha_kmax.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     jp = jacobi(n // 2 + 1, lam, s, t)
     one = lam ** 0
     vec, table = [one], [one]
@@ -196,32 +202,32 @@ def motzkin_walk(n: int, lam, s, t) -> list:
     return table
 
 
-def _jacobi_walk(n: int, s, t):
-    """(table, read): motzkin_walk's [m_0, ..., m_n] and the map that reads
-    m_k at (s, t) off table[k].  For s = S and t one of T, ONE, ZERO the walk
-    has s = 2**(2n) and read is s_from_digits(2n) (see the module docstring);
-    other (s, t) walk directly and read is the identity.
+def _s_digits(n: int, s, t):
+    """(s_walk, read): the s to walk with for rows up to n, and the map that
+    reads m_k at (s, t) off row k of that walk.  For n > 0, s = S and t one
+    of T, ONE, ZERO, s_walk is 2**(2n) and read is s_from_digits(2n) (see
+    the module docstring); otherwise s_walk is s and read is the identity.
     """
-    if n and s == S and t in (T, ONE, ZERO):
+    if n > 0 and s == S and t in (T, ONE, ZERO):
         width = 2 * n
-        return motzkin_walk(n, LAM, 1 << width, t), lambda p: p.s_from_digits(width)
-    return motzkin_walk(n, LAM, s, t), lambda p: p
+        return 1 << width, lambda p: p.s_from_digits(width)
+    return s, lambda p: p
 
 
-def _jacobi_moments(n: int, s=S, t=T) -> list:
-    """[m_0, ..., m_n] from one walk."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    table, read = _jacobi_walk(n, s, t)
-    return [read(m) for m in table]
+def _substituted(table):
+    """table (n, s, t) -> [m_0, ..., m_n], walked at _s_digits' s and read
+    back row by row."""
+    def run(n, s, t):
+        s_walk, read = _s_digits(n, s, t)
+        return [read(m) for m in table(n, s_walk, t)]
+    return run
 
 
 def moment_jacobi(n: int, s=S, t=T) -> MultiPoly:
-    """Vacuum moment as the (0,0) entry of the n-th monic Jacobi matrix power."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    table, read = _jacobi_walk(n, s, t)
-    return read(table[n])
+    """Vacuum moment as the (0,0) entry of the n-th monic Jacobi matrix
+    power, walked as in the jacobi table; only row n is read back."""
+    s_walk, read = _s_digits(n, s, t)
+    return read(motzkin_walk(n, LAM, s_walk, t)[n])
 
 
 def weight(p: NCPartition, st=None) -> MultiPoly:
@@ -310,14 +316,14 @@ class MomentTable(namedtuple("MomentTable", "n_max m")):
 
 
 # The one map from engine name to table function (n, s, t) -> [m_0, ..., m_n],
-# one recursion or walk per table.  Each entry looks its function up at call
-# time, so a wrapper bound to the module attribute (tracing, tests) sees
-# every call.
+# one recursion or walk per table, each but nc walked at s = 2**(2n) where
+# _s_digits allows it.  Each entry looks its function up at call time, so a
+# wrapper bound to the module attribute (tracing, tests) sees every call.
 ENGINE_TABLES = {
     "nc": lambda n, s, t: nc_moments(n, s, t),
-    "blockwise": lambda n, s, t: blockwise_moments(n, s, t),
-    "jacobi": lambda n, s, t: _jacobi_moments(n, s, t),
-    "operator": lambda n, s, t: fock.vacuum_moments(n, s, t),
+    "blockwise": _substituted(lambda n, s, t: blockwise_moments(n, s, t)),
+    "jacobi": _substituted(lambda n, s, t: motzkin_walk(n, LAM, s, t)),
+    "operator": _substituted(lambda n, s, t: fock.vacuum_moments(n, s, t)),
 }
 
 

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's code paths: set partitions
 come from restricted-growth strings rather than the gap recursion, depths are
 per-element cover counts rather than interval containment, words are checked
 and enumerated by their own level bookkeeping, and series coefficients are
-extracted by discrete contour averages.
+extracted by discrete contour averages.  The residuals and the identity
+matrix are plain formulas that only the tests need.
 """
 
 import cmath
@@ -189,3 +190,26 @@ def laurent_moments(g_upper, radius, nmax, samples=512):
         )
         out.append((acc * radius ** (n + 1) / samples).real)
     return out
+
+
+# -- analytic residuals and matrices ------------------------------------------
+
+
+def quadratic_residual(z, lam, g):
+    """|quadratic(z, g)| for the s = 1, t -> 0 closed-form transform's
+    defining equation (see fockpoisson.analytic)."""
+    a = z**3 - (1 + 3 * lam) * z**2 + 3 * lam**2 * z - lam**3
+    b = 2 * z**2 - (2 + 5 * lam) * z + 3 * lam**2
+    c = z - (2 * lam + 1)
+    return abs(a * g * g - b * g + c)
+
+
+def h_residual(z, lam, h):
+    """|h - (z - lam - lam/h)|, the reference's reciprocal Cauchy transform
+    equation; h = 0 raises ZeroDivisionError."""
+    return abs(h - (z - lam - lam / h))
+
+
+def identity_rows(dim, one, zero):
+    """The dim x dim identity matrix as rows over a ring's one and zero."""
+    return [[one if i == j else zero for j in range(dim)] for i in range(dim)]

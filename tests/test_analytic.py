@@ -8,13 +8,11 @@ from fockpoisson.analytic import (
     cauchy_cf,
     cauchy_cfree_closed,
     continued_fraction,
-    h_residual,
     jacobi_floats,
-    quadratic_residual,
 )
 from fockpoisson.moments import jacobi, moment_table
 
-from oracles import laurent_moments
+from oracles import h_residual, laurent_moments, quadratic_residual
 
 
 def sample_params(rng):

@@ -410,7 +410,7 @@ def test_enumeration_cap_skips_engines_that_do_not_list(capsys, no_engines):
     assert out.splitlines()[-1] == "m_19 = 19"
 
 
-ENGINE_LIMITS = [("nc", 12), ("blockwise", 24), ("jacobi", 36), ("operator", 32)]
+ENGINE_LIMITS = [("nc", 12), ("blockwise", 28), ("jacobi", 36), ("operator", 40)]
 
 
 @pytest.mark.parametrize("engine,limit", ENGINE_LIMITS)
@@ -454,7 +454,7 @@ def test_engine_limits_are_documented_and_above_the_benchmark():
     assert all(limit >= 10 for limit in limits.values())
     assert limits["jacobi"] >= 18 and limits["operator"] >= 16
     doc = " ".join(cli.__doc__.split())
-    assert "(nc 12, blockwise 24, jacobi 36, operator 32)" in doc
+    assert "(nc 12, blockwise 28, jacobi 36, operator 40)" in doc
 
 
 def test_engine_all_meets_the_lowest_limit(capsys, no_engines):
@@ -606,13 +606,16 @@ def test_cauchy_refuses_non_finite_grids(capsys, argv):
     assert_usage_error(run(capsys, "cauchy", *argv), "cauchy", "must be finite")
 
 
-@pytest.mark.parametrize("argv", [("--lam", "0"), ("--s", "2")], ids=["lam-0", "s-2"])
+# a negative value reaches the domain check in the --flag=VALUE form only;
+# argparse reads a separate -1/2 as an option
+@pytest.mark.parametrize("argv", [("--lam", "0"), ("--s", "2"), ("--lam=-1/2",), ("--t=-1/2",)],
+                         ids=["lam-0", "s-2", "lam-negative", "t-negative"])
 def test_cauchy_domain_error_before_any_point(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("a point was evaluated")
 
     monkeypatch.setattr(analytic, "continued_fraction", refuse)
-    message = "lambda must be positive" if argv[0] == "--lam" else "must lie in [0, 1]"
+    message = "lambda must be positive" if argv[0].startswith("--lam") else "must lie in [0, 1]"
     assert_usage_error(run(capsys, "cauchy", *argv), "cauchy", message)
 
 

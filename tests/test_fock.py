@@ -10,7 +10,7 @@ from fockpoisson.fock import (
 )
 from fockpoisson.poly import LAM, ONE, SQRT_LAM, S, T, ZERO, MultiPoly
 
-from oracles import nc_bruteforce, weight_exponents
+from oracles import identity_rows, nc_bruteforce, weight_exponents
 
 
 def mono(el, es=0, et=0):
@@ -132,7 +132,7 @@ def test_weighted_symmetry():
 
 
 def test_matrix_helpers():
-    ident = FockMatrix.identity(3)
+    ident = FockMatrix(identity_rows(3, ONE, ZERO))
     P = poisson_matrix(2)
     assert ident @ P == P
     assert P.apply([ONE, ZERO, ZERO]) == [P.entry(0, 0), P.entry(1, 0), P.entry(2, 0)]

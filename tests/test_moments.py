@@ -98,6 +98,8 @@ def test_moment_jacobi_rows():
     assert moment_jacobi(3) == LAM**3 + (2 * ONE + S) * LAM**2 + LAM
     m4_limit = moment_jacobi(4).specialize_one(s=True).specialize_zero(kill_t=True)
     assert m4_limit == cfree_row_poly(4)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        moment_jacobi(-1)
 
 
 def test_moment_nc_rows():
@@ -266,6 +268,41 @@ def test_every_engine_table_keeps_the_contract(engine):
             assert table(0, s, t) == [ONE]
     with pytest.raises(ValueError, match="n must be >= 0"):
         table(-1, S, T)
+
+
+# the walk behind each table that runs at s = 2**(2n): the module attribute
+# the table calls, and the same walk called directly
+PLAIN_WALKS = {
+    "jacobi": ((moments, "motzkin_walk"), lambda n, s, t: motzkin_walk(n, LAM, s, t)),
+    "operator": ((fock, "vacuum_moments"), fock.vacuum_moments),
+    "blockwise": ((moments, "blockwise_moments"), blockwise_moments),
+}
+
+
+@pytest.mark.parametrize("engine", list(PLAIN_WALKS))
+def test_substituted_tables_equal_their_plain_walks(engine):
+    table, (_, plain) = moments.ENGINE_TABLES[engine], PLAIN_WALKS[engine]
+    for t in (T, ONE, ZERO):
+        for n in range(17):
+            assert table(n, S, t) == plain(n, S, t), (n, t)
+
+
+@pytest.mark.parametrize("engine", list(PLAIN_WALKS))
+def test_tables_substitute_s_only_where_digits_read_back(monkeypatch, engine):
+    (module, name), _ = PLAIN_WALKS[engine]
+    seen = []
+
+    def walk(n, *args):
+        seen.append(args[-2:])  # every walk takes (s, t) last
+        return [MultiPoly.const(k) for k in range(n + 1)]
+
+    monkeypatch.setattr(module, name, walk)
+    table = moments.ENGINE_TABLES[engine]
+    passed = [(ONE, T), (ZERO, T), (Fraction(1, 2), Fraction(1, 3)), (S, Fraction(1, 3))]
+    for s, t in [(S, T), (S, ONE), (S, ZERO), *passed]:
+        assert table(5, s, t) == [MultiPoly.const(k) for k in range(6)]
+    assert seen == [(1 << 10, T), (1 << 10, ONE), (1 << 10, ZERO), *passed]
+    assert all(type(s) is int for s, _ in seen[:3])
 
 
 # nc's 12-row tables are compared with blockwise's above, and
