@@ -54,11 +54,11 @@ _ENGINE_TABLES = {
 # Largest n that each engine computes without --force: moments --nmax, and
 # for nc also partitions --list --n, which lists the same NC(n) and keeps
 # the limit 12 although the nc table is cheaper.  At its limit a run took
-# 0.7 s (nc; 3.4 s for partitions --list, 7 s with --stats), 11 s
-# (blockwise, 61 MB RSS), 8 to 9 s (jacobi, 235 MB) and 12 to 13 s
-# (operator, 450 MB) on a 2-vCPU VM with Python 3.11, and the cost grows
+# 0.7 s (nc; 3.4 s for partitions --list, 7 s with --stats), 8 s
+# (blockwise, 58 MB RSS), 5.5 to 6 s (jacobi, 213 MB) and 8 to 9 s
+# (operator, 420 MB) on a 2-vCPU VM with Python 3.11, and the cost grows
 # by about a fifth (jacobi, operator), three quarters (blockwise) or
-# threefold (nc) per row: jacobi --nmax 40 ran for 22 s at 440 MB, nc
+# threefold (nc) per row: jacobi --nmax 40 ran for 17 s at 406 MB, nc
 # --nmax 13 for 2.3 s.
 ENGINE_NMAX_LIMITS = {"nc": 12, "blockwise": 28, "jacobi": 36, "operator": 40}
 

@@ -25,7 +25,8 @@ whose last j points are singletons at depth 0, with j blocks fewer.
 For s = S and t one of T, ONE, ZERO, the jacobi, operator and blockwise
 tables walk with s = 2**(2n) substituted, over MultiPoly in l and t alone,
 and read the s exponents back as base-2**(2n) digits
-(MultiPoly.s_from_digits); moment_jacobi does so for its one row.  The
+(MultiPoly.s_from_digits); moment_jacobi does so for its one row, and
+moment_blockwise is the blockwise table's last row.  The
 combinatorial formula makes this exact for all three: m_k is the sum over
 NC(k) of l^blocks * s^td1 * t^td2, so every coefficient of m_k is a
 nonnegative count, and the counts add up to m_k(1, 1, 1) = Catalan(k) <
@@ -290,8 +291,9 @@ def blockwise_moments(n: int, s=S, t=T) -> list:
 
 
 def moment_blockwise(n: int, s=S, t=T) -> MultiPoly:
-    """Vacuum moment as the sum of per-block products (see blockwise_moments)."""
-    return blockwise_moments(n, s, t)[n]
+    """Vacuum moment as the sum of per-block products, the last row of the
+    blockwise table (walked at s = 2**(2n) where _s_digits allows it)."""
+    return ENGINE_TABLES["blockwise"](n, s, t)[n]
 
 
 # -- moment tables and the functional ----------------------------------------

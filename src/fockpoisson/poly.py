@@ -6,12 +6,12 @@ coefficients.  The lambda exponent may be a half-integer (so that sqrt(lambda)
 is representable); internally it is tracked in half-units, el2 = 2 * (exponent
 of lambda), and each monomial is packed into one int key:
 
-    terms = {el2 | es << 32 | et << 64: coeff}
+    terms = {deg << 96 | el2 << 64 | es << 32 | et: coeff},  deg = el2 + 2*(es + et)
 
-so the product of two monomials is the sum of their keys.  No other module
-reads or writes these keys: the constructor and ``terms()`` speak in
-``(el2, es, et)`` tuples, and after s = 2**width was put in,
-``s_from_digits(width)`` reads the s exponents back as base-2**width digits.
+so the product of two monomials is the sum of their keys, and descending key
+order is the canonical term order.  No other module reads or writes these
+keys: the constructor and ``terms()`` speak in ``(el2, es, et)`` tuples, and
+``s_from_digits(width)`` reads s exponents back from base-2**width digits.
 The total degree el2 + es + et of a term must stay below 2**32, so no field
 can carry into the next: each polynomial carries an upper bound on it (the
 sum of the operands' bounds for a product, the larger one for a sum), and
@@ -29,8 +29,24 @@ from fractions import Fraction
 from math import isqrt
 
 _FIELD = (1 << 32) - 1  # the largest exponent a key field holds
-_S_FIELD = _FIELD << 32
-_T_FIELD = _FIELD << 64
+_S_UNIT = 2 << 96 | 1 << 32  # the keys of s and t
+_T_UNIT = 2 << 96 | 1
+
+
+def _key(el2: int, es: int, et: int) -> int:
+    return (el2 + 2 * (es + et)) << 96 | el2 << 64 | es << 32 | et
+
+
+def _factor(var: str, e2: int) -> str:
+    """"*"-prefixed text of var^(e2/2), or "" for e2 = 0."""
+    if e2 & 1:
+        return f"*{var}^({e2}/2)"
+    return "" if not e2 else f"*{var}" if e2 == 2 else f"*{var}^{e2 >> 1}"
+
+
+# factor text of exponents below 128 (el2 for l); __str__ formats larger ones
+_L_TEXT, _S_TEXT, _T_TEXT = ([_factor(var, e2) for e2 in range(0, 128 * step, step)]
+                             for var, step in (("l", 1), ("s", 2), ("t", 2)))
 
 
 class NonIntegralLambdaExponentError(ValueError):
@@ -38,9 +54,7 @@ class NonIntegralLambdaExponentError(ValueError):
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -92,7 +106,7 @@ class MultiPoly:
                 if coeff:
                     el2, es, et = int(el2), int(es), int(et)
                     deg = max(deg, el2 + es + et)
-                    cleaned[el2 | es << 32 | et << 64] = int(coeff)
+                    cleaned[_key(el2, es, et)] = int(coeff)
         self._terms = cleaned
         self._deg = _check_degree(deg)
 
@@ -206,27 +220,21 @@ class MultiPoly:
 
     # -- inspection --------------------------------------------------------
 
-    def _ranked(self):
-        """[(el2, es, et, coeff)] in canonical (descending graded-lex) order:
-        sorted, largest first, by (el2 + 2*es + 2*et, el2, es), which fixes
-        et."""
-        rows = [(k & _FIELD, k >> 32 & _FIELD, k >> 64, c) for k, c in self._terms.items()]
-        rows.sort(key=lambda r: (r[0] + 2 * (r[1] + r[2]), r[0], r[1]), reverse=True)
-        return rows
-
     def terms(self):
-        """Yield ((el2, es, et), coeff) in canonical (descending graded-lex) order."""
-        for el2, es, et, coeff in self._ranked():
-            yield (el2, es, et), coeff
+        """Yield ((el2, es, et), coeff) in canonical order, largest first by
+        (el2 + 2*es + 2*et, el2, es), which is key order."""
+        terms = self._terms
+        for k in sorted(terms, reverse=True):
+            yield (k >> 64 & _FIELD, k >> 32 & _FIELD, k & _FIELD), terms[k]
 
     def coefficient(self, el=0, es: int = 0, et: int = 0) -> int:
         el2 = _half_units(el)
         if min(el2, es, et) < 0 or el2 + es + et > self._deg:
             return 0  # no such term, and its packed key could name another
-        return self._terms.get(el2 | es << 32 | et << 64, 0)
+        return self._terms.get(_key(el2, es, et), 0)
 
     def has_integral_lambda_exponents(self) -> bool:
-        return not any(k & 1 for k in self._terms)
+        return not any(k >> 64 & 1 for k in self._terms)
 
     # -- evaluation and limits ----------------------------------------------
 
@@ -248,9 +256,9 @@ class MultiPoly:
                 )
         total = Fraction(0)
         for k, coeff in self._terms.items():
-            el2 = k & _FIELD
-            part = sqrt_lam**el2 if k & 1 else lam ** (el2 >> 1)
-            total += coeff * part * s ** (k >> 32 & _FIELD) * t ** (k >> 64)
+            el2 = k >> 64 & _FIELD
+            part = sqrt_lam**el2 if el2 & 1 else lam ** (el2 >> 1)
+            total += coeff * part * s ** (k >> 32 & _FIELD) * t ** (k & _FIELD)
         return total
 
     def specialize_zero(self, kill_s: bool = False, kill_t: bool = False) -> "MultiPoly":
@@ -258,15 +266,14 @@ class MultiPoly:
 
         Exponent-zero terms survive (0**0 = 1 convention).
         """
-        mask = (_S_FIELD if kill_s else 0) | (_T_FIELD if kill_t else 0)
+        mask = (_FIELD << 32 if kill_s else 0) | (_FIELD if kill_t else 0)
         return _new({k: c for k, c in self._terms.items() if not k & mask}, self._deg)
 
     def specialize_one(self, s: bool = False, t: bool = False) -> "MultiPoly":
-        """Set s = 1 and/or t = 1 by erasing the exponent (terms merge)."""
-        keep = ~((_S_FIELD if s else 0) | (_T_FIELD if t else 0))
-        out = {}
+        """Set s = 1 and/or t = 1 by taking the exponent out of the key (terms merge)."""
+        ds, dt, out = _S_UNIT if s else 0, _T_UNIT if t else 0, {}
         for key, coeff in self._terms.items():
-            key &= keep
+            key -= (key >> 32 & _FIELD) * ds + (key & _FIELD) * dt
             new = out.get(key, 0) + coeff
             if new:
                 out[key] = new
@@ -283,46 +290,39 @@ class MultiPoly:
         mask = (1 << width) - 1
         terms, deg = {}, 0
         for key, coeff in self._terms.items():
-            es = -1
+            top = (coeff.bit_length() - 1) // width  # the leading digit's s exponent
+            deg = max(deg, (key >> 64 & _FIELD) + top + (key & _FIELD))
             while coeff:
-                es += 1
                 if coeff & mask:
-                    terms[key | es << 32] = coeff & mask
+                    terms[key] = coeff & mask
+                key += _S_UNIT
                 coeff >>= width
-            # the last digit is the leading one, so es is the top s exponent
-            deg = max(deg, (key & _FIELD) + es + (key >> 64))
         return _new(terms, _check_degree(deg))
 
     # -- rendering -----------------------------------------------------------
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        chunks = []
-        for el2, es, et, coeff in self._ranked():
-            mono = ""  # "*"-prefixed factors
-            if el2:
-                mono = "*l" if el2 == 2 else f"*l^({el2}/2)" if el2 & 1 else f"*l^{el2 >> 1}"
-            if es:
-                mono += "*s" if es == 1 else f"*s^{es}"
-            if et:
-                mono += "*t" if et == 1 else f"*t^{et}"
-            mag = coeff if coeff > 0 else -coeff
-            body = str(mag) if not mono else mono[1:] if mag == 1 else f"{mag}{mono}"
-            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        text = " ".join(chunks)
-        return text[2:] if text[0] == "+" else "-" + text[2:]
+        terms, out = self._terms, []
+        for key in sorted(terms, reverse=True):
+            el2, es, et = key >> 64 & _FIELD, key >> 32 & _FIELD, key & _FIELD
+            try:  # "*"-prefixed factors
+                mono = _L_TEXT[el2] + _S_TEXT[es] + _T_TEXT[et]
+            except IndexError:
+                mono = _factor("l", el2) + _factor("s", 2 * es) + _factor("t", 2 * et)
+            coeff = terms[key]
+            out.append(" + " if coeff > 0 else " - ")
+            mag = abs(coeff)
+            out.append(mono[1:] if mag == 1 and mono else f"{mag}{mono}")
+        text = "".join(out)
+        return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self):
         return f"MultiPoly({self})"
 
     def to_json_terms(self):
         """Canonically ordered term list; el is an int, or a float for half units."""
-        out = []
-        for (el2, es, et), coeff in self.terms():
-            el = el2 // 2 if el2 % 2 == 0 else el2 / 2
-            out.append({"el": el, "es": es, "et": et, "coeff": str(coeff)})
-        return out
+        return [{"el": el2 / 2 if el2 & 1 else el2 >> 1, "es": es, "et": et, "coeff": str(c)}
+                for (el2, es, et), c in self.terms()]
 
 
 ZERO = MultiPoly.zero()

@@ -5,7 +5,8 @@ come from restricted-growth strings rather than the gap recursion, depths are
 per-element cover counts rather than interval containment, words are checked
 and enumerated by their own level bookkeeping, and series coefficients are
 extracted by discrete contour averages.  The residuals and the identity
-matrix are plain formulas that only the tests need.
+matrix are plain formulas that only the tests need, and polynomial text is
+rendered from exponent tuples sorted with a key function.
 """
 
 import cmath
@@ -213,3 +214,42 @@ def h_residual(z, lam, h):
 def identity_rows(dim, one, zero):
     """The dim x dim identity matrix as rows over a ring's one and zero."""
     return [[one if i == j else zero for j in range(dim)] for i in range(dim)]
+
+
+# -- polynomial text ------------------------------------------------------------
+
+
+def canonical_terms(terms):
+    """((el2, es, et), coeff) pairs in any order, sorted as tuples, largest
+    first by (el2 + 2*es + 2*et, el2, es)."""
+    rank = lambda kc: (kc[0][0] + 2 * (kc[0][1] + kc[0][2]), kc[0][0], kc[0][1])  # noqa: E731
+    return sorted(terms, key=rank, reverse=True)
+
+
+def poly_text(terms):
+    """A MultiPoly's text from its (exponents, coeff) pairs, each monomial
+    formatted on its own: "0" for no terms, else signed terms such as
+    "2*l^2*s - l^(3/2)*t^4"."""
+    chunks = []
+    for (el2, es, et), coeff in canonical_terms(terms):
+        mono = ""  # "*"-prefixed factors
+        if el2:
+            mono = "*l" if el2 == 2 else f"*l^({el2}/2)" if el2 & 1 else f"*l^{el2 // 2}"
+        if es:
+            mono += "*s" if es == 1 else f"*s^{es}"
+        if et:
+            mono += "*t" if et == 1 else f"*t^{et}"
+        mag = abs(coeff)
+        body = str(mag) if not mono else mono[1:] if mag == 1 else f"{mag}{mono}"
+        chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    if not chunks:
+        return "0"
+    text = " ".join(chunks)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def poly_json_terms(terms):
+    """MultiPoly.to_json_terms from (exponents, coeff) pairs: el an int, or
+    a float for half units, and the coefficient as a decimal string."""
+    return [{"el": el2 // 2 if el2 % 2 == 0 else el2 / 2, "es": es, "et": et, "coeff": str(c)}
+            for (el2, es, et), c in canonical_terms(terms)]
