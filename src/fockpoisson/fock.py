@@ -9,8 +9,10 @@ index 0 being the vacuum.  The four generators act as
     intermediate:  m -> m,   entry t^(m-1) for m >= 1, vacuum -> 0
 
 and the Poisson operator is  intermediate + sqrt(l)*(creation + annihilation)
-+ l*scalar.  Vacuum moments are the (0, 0) entries of its powers, and
-vacuum_moments(n) gets m_0..m_n from one walk from the vacuum.  After k of
++ l*scalar.  Vacuum moments are the (0, 0) entries of its powers:
+vacuum_moments(n) gets m_0..m_n from one walk from the vacuum, and
+vacuum_moment(n) is row n of moments.ENGINE_TABLES["operator"], that walk
+at s = 2**(2n) where moments._s_digits allows it.  After k of
 the n steps, a level above k is not reached yet and a level above n - k is
 more steps down than remain, so nothing there returns to the vacuum; the
 walk computes only the levels <= min(k, n - k) of its vector.  A path of
@@ -154,8 +156,9 @@ def vacuum_moments(n: int, s=S, t=T) -> list:
 
 
 def vacuum_moment(n: int, s=S, t=T) -> MultiPoly:
-    """(0,0) entry of the n-th power of the Poisson operator (see vacuum_moments)."""
-    return vacuum_moments(n, s, t)[n]
+    """(0,0) entry of the operator's n-th power: moments.ENGINE_TABLES["operator"] row n."""
+    from .moments import ENGINE_TABLES  # moments imports this module
+    return ENGINE_TABLES["operator"](n, s, t)[n]
 
 
 def check_relations(N: int):

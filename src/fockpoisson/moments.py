@@ -26,22 +26,24 @@ For s = S and t one of T, ONE, ZERO, the jacobi, operator and blockwise
 tables walk with s = 2**(2n) substituted, over MultiPoly in l and t alone,
 and read the s exponents back as base-2**(2n) digits
 (MultiPoly.s_from_digits); moment_jacobi does so for its one row, and
-moment_blockwise is the blockwise table's last row.  The
+moment_blockwise and fock.vacuum_moment are their tables' last rows.  The
 combinatorial formula makes this exact for all three: m_k is the sum over
 NC(k) of l^blocks * s^td1 * t^td2, so every coefficient of m_k is a
 nonnegative count, and the counts add up to m_k(1, 1, 1) = Catalan(k) <
 4**k <= 4**n.  Substitution is a ring map, so it commutes with any walk,
-and no digit carries.  nc counts the s exponents directly and walks no
-ring, so it substitutes nothing.
+and no digit carries.  nc counts the s exponents and needs no digits.
 
 Limits are substitutions made before computing: every engine takes the
 values of s and t, by default the variables S and T, and ONE or ZERO in
 their place gives s = 1, t = 1 or the s -> 0, t -> 0 limit (ZERO**0 is ONE,
-so exponent-zero terms survive, as in MultiPoly.specialize_zero).
-limit_case and cfree_moments substitute the limit's (s, t) into the
-first-block recursion (blockwise_moments).  There each block weighs l or
-nothing, so a limit counts the members of a partition family by their
-blocks; the tests check that reading against partitions.count_by_blocks.
+so exponent-zero terms survive).  No engine specializes a polynomial after
+computing it: the walks compute in the substituted ring, and nc_moments
+substitutes into each count of its walk once, as it spreads them into rows
+(ONE drops an exponent, ZERO every count with a positive one).  limit_case
+and cfree_moments substitute the limit's (s, t) into the first-block
+recursion (blockwise_moments).  There each block weighs l or nothing, so a
+limit counts the members of a partition family by their blocks; the tests
+check that reading against partitions.count_by_blocks.
 """
 
 from __future__ import annotations
@@ -216,8 +218,7 @@ def _s_digits(n: int, s, t):
 
 
 def _substituted(table):
-    """table (n, s, t) -> [m_0, ..., m_n], walked at _s_digits' s and read
-    back row by row."""
+    """table (n, s, t) walked at _s_digits' s and read back row by row."""
     def run(n, s, t):
         s_walk, read = _s_digits(n, s, t)
         return [read(m) for m in table(n, s_walk, t)]
@@ -238,21 +239,6 @@ def weight(p: NCPartition, st=None) -> MultiPoly:
     return MultiPoly.term(1, el=len(p.blocks), es=st.td1, et=st.td2)
 
 
-def _weigh(counts: dict, s, t) -> MultiPoly:
-    """The sum of c * l^k * s^es * t^et over {(k, es, et): c}.  For s one of
-    S, ONE, ZERO and t one of T, ONE, ZERO each count is one term, and ONE
-    or ZERO is applied by specialize_one or specialize_zero; other values
-    weigh each count with ring products."""
-    if not (s in (S, ONE, ZERO) and t in (T, ONE, ZERO)):
-        return sum((c * LAM**k * s**es * t**et for (k, es, et), c in counts.items()), ZERO)
-    p = MultiPoly({(2 * k, es, et): c for (k, es, et), c in counts.items()})
-    if ZERO in (s, t):
-        p = p.specialize_zero(kill_s=s == ZERO, kill_t=t == ZERO)
-    if ONE in (s, t):
-        p = p.specialize_one(s=s == ONE, t=t == ONE)
-    return p
-
-
 def nc_moments(n: int, s=S, t=T) -> list:
     """[m_0, ..., m_n] as weight sums over non-crossing partitions, from one
     walk over NC(n) (partitions.nc_weight_counts).
@@ -261,18 +247,27 @@ def nc_moments(n: int, s=S, t=T) -> list:
     member of NC(n - j) plus j blocks that nest nothing and sit inside
     nothing, with the same td1 and td2, and every member of NC(n - j)
     arises so once: row n - j sums the counts with tail >= j, with j blocks
-    fewer.
+    fewer.  Each count is substituted once as it is spread (see the module
+    docstring), and other values of s and t weigh the rows with ring products.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return [ONE]
+    keep_s, keep_t = s not in (ONE, ZERO), t not in (ONE, ZERO)
+    kill_s, kill_t = s == ZERO, t == ZERO
     rows = [{} for _ in range(n + 1)]
     for (k, es, et, tail), c in nc_weight_counts(n).items():
+        if kill_s and es or kill_t and et:
+            continue
+        es, et = es * keep_s, et * keep_t  # ONE and ZERO drop the exponent
         for j in range(tail + 1):
-            row, key = rows[n - j], (k - j, es, et)
+            row, key = rows[n - j], (2 * (k - j), es, et)
             row[key] = row.get(key, 0) + c
-    return [ONE] + [_weigh(row, s, t) for row in rows[1:]]
+    if s in (S, ONE, ZERO) and t in (T, ONE, ZERO):
+        return [ONE] + [MultiPoly(row) for row in rows[1:]]
+    return [ONE] + [sum((MultiPoly({(el2, 0, 0): c}) * s**es * t**et
+                         for (el2, es, et), c in row.items()), ZERO) for row in rows[1:]]
 
 
 def moment_nc(n: int, s=S, t=T) -> MultiPoly:
@@ -291,8 +286,7 @@ def blockwise_moments(n: int, s=S, t=T) -> list:
 
 
 def moment_blockwise(n: int, s=S, t=T) -> MultiPoly:
-    """Vacuum moment as the sum of per-block products, the last row of the
-    blockwise table (walked at s = 2**(2n) where _s_digits allows it)."""
+    """Vacuum moment as the sum of per-block products, the blockwise table's last row."""
     return ENGINE_TABLES["blockwise"](n, s, t)[n]
 
 

@@ -287,6 +287,9 @@ class MultiPoly:
         every coefficient before the substitution in [0, 2**width)."""
         if width < 1:
             raise ValueError("width must be >= 1")
+        low = min(self._terms.values(), default=0)
+        if low < 0:
+            raise ValueError(f"coefficient {low} is negative and has no base-2**width digits")
         mask = (1 << width) - 1
         terms, deg = {}, 0
         for key, coeff in self._terms.items():

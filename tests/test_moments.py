@@ -242,6 +242,48 @@ def test_substitution_commutes_with_every_engine(engine):
             assert engine(n, s=s, t=t) == expected, (n, s, t)
 
 
+PAIRS = [(S, T), *SUBSTITUTIONS]
+
+
+def test_no_engine_specializes_after_computing(monkeypatch):
+    # every limit is substituted before computing, so no engine needs
+    # specialize_zero or specialize_one
+    row_functions = [moment_nc, moment_blockwise, moment_jacobi, fock.vacuum_moment]
+
+    def compute():
+        tables = [table(n, s, t) for table in moments.ENGINE_TABLES.values()
+                  for n in range(9) for s, t in PAIRS]
+        rows = [f(n, s, t) for f in row_functions for n in range(9) for s, t in PAIRS]
+        return tables, rows
+
+    before = compute()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a limit was specialized after computing")
+
+    monkeypatch.setattr(MultiPoly, "specialize_zero", refuse)
+    monkeypatch.setattr(MultiPoly, "specialize_one", refuse)
+    assert compute() == before
+
+
+def test_vacuum_moment_walks_at_the_substituted_s(monkeypatch):
+    seen, walk = [], fock.vacuum_moments
+
+    def record(n, s, t):
+        seen.append(s)
+        return walk(n, s, t)
+
+    monkeypatch.setattr(fock, "vacuum_moments", record)
+    for n in (1, 6, 9):
+        for t in (T, ONE, ZERO):
+            seen.clear()
+            assert fock.vacuum_moment(n, S, t) == moment_jacobi(n, S, t)
+            assert seen == [2 ** (2 * n)] and type(seen[0]) is int, (n, t)
+        seen.clear()
+        assert fock.vacuum_moment(n, ONE, T) == moment_jacobi(n, ONE, T)
+        assert seen == [ONE], n
+
+
 def test_weight_helper():
     p = NCPartition(7, [[1, 7], [2, 5, 6], [3, 4]])
     assert weight(p) == mono(3, es=3, et=1)

@@ -116,6 +116,14 @@ def test_s_from_digits_splits_coefficients_and_needs_a_width():
         p.s_from_digits(0)
 
 
+def test_s_from_digits_refuses_a_negative_coefficient():
+    # a negative int never shifts down to 0, so it has no digits to read
+    mixed = 5 * LAM - 2 * ONE + MultiPoly.term(7, et=3)
+    for p, low in ((MultiPoly.const(-3), -3), (mixed, -2)):
+        with pytest.raises(ValueError, match=f"coefficient {low} "):
+            p.s_from_digits(4)
+
+
 def test_render_canonical_order():
     p = LAM**3 + 3 * MultiPoly.term(1, el=2, es=1) + LAM
     assert str(p) == "l^3 + 3*l^2*s + l"
