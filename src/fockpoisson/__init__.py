@@ -26,7 +26,6 @@ from .partitions import (
 )
 from .words import (
     CardArrangement,
-    Letter,
     NotAdmissibleError,
     OperatorWord,
     arrangement,
@@ -75,7 +74,6 @@ __all__ = [
     "is_noncrossing",
     "stats",
     "CardArrangement",
-    "Letter",
     "NotAdmissibleError",
     "OperatorWord",
     "arrangement",

@@ -39,10 +39,17 @@ def _check_upper_half_plane(z: complex) -> None:
         raise DomainError(f"z must be a finite point of the upper half-plane, got {z}")
 
 
-def jacobi_floats(lam: float, s: float, t: float, depth: int):
-    """(alphas, omegas) of the continued fraction as floats; s, t in [0, 1]."""
+def _check_lambda(lam: float) -> None:
+    # nan <= 0 is false, so finiteness is tested first
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam}")
     if lam <= 0:
         raise DomainError(f"lambda must be positive, got {lam}")
+
+
+def jacobi_floats(lam: float, s: float, t: float, depth: int):
+    """(alphas, omegas) of the continued fraction as floats; s, t in [0, 1]."""
+    _check_lambda(lam)
     if not 0 <= s <= 1 or not 0 <= t <= 1:
         raise DomainError(f"s and t must lie in [0, 1], got s={s}, t={t}")
     jp = jacobi(depth, float(lam), float(s), float(t))
@@ -76,8 +83,7 @@ def cauchy_cf(z: complex, lam: float, s: float, t: float, depth: int) -> complex
 def cauchy_cfree_closed(z: complex, lam: float) -> complex:
     """Closed-form Cauchy transform of the s = 1, t -> 0 distribution."""
     _check_upper_half_plane(z)
-    if lam <= 0:
-        raise DomainError(f"lambda must be positive, got {lam}")
+    _check_lambda(lam)
     r = 2 * math.sqrt(lam)
     root = cmath.sqrt(z - lam - r) * cmath.sqrt(z - lam + r)
     numer = 2 * z**2 - (2 + 5 * lam) * z + 3 * lam**2 + lam * root

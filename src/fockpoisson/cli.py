@@ -445,7 +445,7 @@ def _cmd_fock(args) -> int:
         args.error("nothing to do; pass --dump and/or --relations")
     if args.relations and args.n < 2:
         args.error("--relations needs --n >= 2")
-    status = 0
+    payload = {}  # one JSON document: the dump's keys, then the relations'
     if args.dump:
         if args.dump == "poisson":
             matrix = fock.poisson_matrix(args.n)
@@ -453,20 +453,18 @@ def _cmd_fock(args) -> int:
             creation, annihilation, scalar, intermediate = fock.build_generators(args.n)
             matrix = {"creation": creation, "annihilation": annihilation,
                       "scalar": scalar, "intermediate": intermediate}[args.dump]
-        print(json.dumps({"operator": args.dump, "dim": matrix.dim,
-                          "entries": matrix.to_json_obj()}, indent=2))
-    if args.relations:
-        report = fock.check_relations(args.n)
-        ok = all(report.values())
-        if args.format == "json":
-            print(json.dumps({"n": args.n, "relations": report, "all_hold": ok}))
-        else:
-            for name, holds in report.items():
-                print(f"{name}: {'ok' if holds else 'FAILED'}")
-            print("ALL RELATIONS HOLD" if ok else "RELATION CHECK FAILED")
-        if not ok:
-            status = 1
-    return status
+        payload.update(operator=args.dump, dim=matrix.dim, entries=matrix.to_json_obj())
+    report = fock.check_relations(args.n) if args.relations else {}
+    ok = all(report.values())
+    if args.relations and args.format == "json":
+        payload.update(n=args.n, relations=report, all_hold=ok)
+    if payload:
+        print(json.dumps(payload, indent=2 if args.dump else None))
+    if args.relations and args.format == "plain":
+        for name, holds in report.items():
+            print(f"{name}: {'ok' if holds else 'FAILED'}")
+        print("ALL RELATIONS HOLD" if ok else "RELATION CHECK FAILED")
+    return 0 if ok else 1
 
 
 # -- cauchy -----------------------------------------------------------------------

@@ -39,6 +39,8 @@ class SetPartition:
     __slots__ = ("n", "blocks")
 
     def __init__(self, n: int, blocks):
+        if n < 0:
+            raise ValueError("n must be >= 0")
         blocks = tuple(tuple(b) for b in blocks)
         seen = set()
         for b in blocks:
@@ -290,6 +292,8 @@ def block_sums(n: int, weight):
     depth d; its k - 1 gaps are regions at depth d + 1 and the points after
     it a region at depth d, which has at most n - 2d points.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     inner = [1]  # regions at depth d + 1, by number of points
     for d in range(n // 2, -1, -1):
         size = n - 2 * d

@@ -101,12 +101,15 @@ class MultiPoly:
         cleaned, deg = {}, 0
         if terms:
             for (el2, es, et), coeff in terms.items():
+                for field in (el2, es, et, coeff):
+                    if not isinstance(field, int):
+                        raise TypeError(f"MultiPoly exponents and coefficients are ints, "
+                                        f"got {field!r}")
                 if el2 < 0 or es < 0 or et < 0:
                     raise ValueError("negative exponents are not supported")
                 if coeff:
-                    el2, es, et = int(el2), int(es), int(et)
                     deg = max(deg, el2 + es + et)
-                    cleaned[_key(el2, es, et)] = int(coeff)
+                    cleaned[_key(el2, es, et)] = coeff
         self._terms = cleaned
         self._deg = _check_degree(deg)
 

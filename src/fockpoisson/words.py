@@ -23,30 +23,22 @@ recently opened block, and intermediate letters join the innermost open block
 (the only non-crossing choice).
 
 A card is a kind and a level, the level before its position, and weighs one
-monomial in sqrt(l), s and t.  An arrangement weighs the monomial whose
-exponents sum its cards': l^blocks * s^td1 * t^td2 (t^0 in the t = 1 mode).
+monomial in sqrt(l), s and t.  Its kind is its word letter, except that an
+intermediate card is N in the degenerate t = 1 mode.  An arrangement weighs
+the monomial whose exponents sum its cards': l^blocks * s^td1 * t^td2 (t^0
+in the t = 1 mode).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 
 from .partitions import NCPartition
 from .poly import MultiPoly
 
-
-class Letter(Enum):
-    CRE = "C"
-    ANN = "A"
-    MID = "M"
-    SCA = "K"
-
-
-_CHI = {Letter.CRE: 1, Letter.ANN: -1, Letter.MID: 0, Letter.SCA: 0}
+_CHI = {"C": 1, "A": -1, "M": 0, "K": 0}
 # the lowest level a letter may sit at in an admissible word
-_FLOOR = {Letter.CRE: 0, Letter.ANN: 1, Letter.MID: 1, Letter.SCA: 0}
-_BY_CHAR = {letter.value: letter for letter in Letter}
+_FLOOR = {"C": 0, "A": 1, "M": 1, "K": 0}
 
 
 class NotAdmissibleError(ValueError):
@@ -58,26 +50,24 @@ class OperatorWord:
 
     __slots__ = ("letters",)
 
-    def __init__(self, letters):
-        letters = tuple(letters)
-        for x in letters:
-            if not isinstance(x, Letter):
-                raise TypeError(f"expected Letter, got {x!r}")
+    def __init__(self, letters: str):
+        if not isinstance(letters, str):
+            raise TypeError(f"expected a str over C/A/M/K, got {letters!r}")
+        for ch in letters:
+            if ch not in _CHI:
+                raise ValueError(f"invalid word letter {ch!r}")
         self.letters = letters
 
     @classmethod
     def parse(cls, text: str) -> "OperatorWord":
         """Parse a string over C/A/M/K, leftmost character = first-applied factor."""
-        try:
-            return cls(_BY_CHAR[ch] for ch in text.upper())
-        except KeyError as exc:
-            raise ValueError(f"invalid word letter {exc.args[0]!r}") from None
+        return cls(text.upper())
 
     def __str__(self):
-        return "".join(x.value for x in self.letters)
+        return self.letters
 
     def __repr__(self):
-        return f"OperatorWord({str(self)!r})"
+        return f"OperatorWord({self.letters!r})"
 
     def __len__(self):
         return len(self.letters)
@@ -111,11 +101,11 @@ class OperatorWord:
         blocks = []
         open_stack = []
         for k, x in enumerate(self.letters, start=1):
-            if x is Letter.SCA:
+            if x == "K":
                 blocks.append([k])
-            elif x is Letter.CRE:
+            elif x == "C":
                 open_stack.append([k])
-            elif x is Letter.MID:
+            elif x == "M":
                 open_stack[-1].append(k)
             else:
                 b = open_stack.pop()
@@ -126,30 +116,23 @@ class OperatorWord:
     @classmethod
     def from_partition(cls, p: NCPartition) -> "OperatorWord":
         """Inverse of to_partition: min -> C, max -> A, singleton -> K, rest -> M."""
-        letters = [None] * p.n
+        letters = ["M"] * p.n
         for b in p.blocks:
             if len(b) == 1:
-                letters[b[0] - 1] = Letter.SCA
+                letters[b[0] - 1] = "K"
             else:
-                letters[b[0] - 1] = Letter.CRE
-                letters[b[-1] - 1] = Letter.ANN
-                for k in b[1:-1]:
-                    letters[k - 1] = Letter.MID
-        return cls(letters)
+                letters[b[0] - 1] = "C"
+                letters[b[-1] - 1] = "A"
+        return cls("".join(letters))
 
     def arrangement(self, degenerate_t: bool = False) -> "CardArrangement":
         return arrangement(self, degenerate_t=degenerate_t)
 
 
-class CardKind(Enum):
-    C = "C"
-    A = "A"
-    K = "K"
-    M = "M"
-    N = "N"  # intermediate card in the degenerate t = 1 mode
-
-
 class Card(namedtuple("Card", "kind level")):
+    """One card: its kind, a letter of C/A/M/K or N (an intermediate card in
+    the degenerate t = 1 mode), and its level, the level before its position."""
+
     __slots__ = ()
 
     @property
@@ -157,16 +140,16 @@ class Card(namedtuple("Card", "kind level")):
         return MultiPoly({_CARD_EXPONENTS[self.kind](self.level): 1})
 
     def label(self) -> str:
-        return f"{self.kind.value}{self.level}"
+        return f"{self.kind}{self.level}"
 
 
 # kind -> (level -> (2*exp_l, exp_s, exp_t)), the key of one MultiPoly term
 _CARD_EXPONENTS = {
-    CardKind.C: lambda lv: (1, 0, 0),
-    CardKind.A: lambda lv: (1, lv - 1, 0),
-    CardKind.K: lambda lv: (2, lv, 0),
-    CardKind.M: lambda lv: (0, 0, lv - 1),
-    CardKind.N: lambda lv: (0, 0, 0),
+    "C": lambda lv: (1, 0, 0),
+    "A": lambda lv: (1, lv - 1, 0),
+    "K": lambda lv: (2, lv, 0),
+    "M": lambda lv: (0, 0, lv - 1),
+    "N": lambda lv: (0, 0, 0),
 }
 
 
@@ -178,8 +161,8 @@ class CardArrangement:
     def __init__(self, cards):
         cards = tuple(cards)
         for c in cards:
-            if c.kind in (CardKind.A, CardKind.M, CardKind.N) and c.level < 1:
-                raise ValueError(f"{c.kind.value}-card requires level >= 1")
+            if c.kind in ("A", "M", "N") and c.level < 1:
+                raise ValueError(f"{c.kind}-card requires level >= 1")
         self.cards = cards
 
     @property
@@ -195,21 +178,12 @@ class CardArrangement:
         return render_ascii(self)
 
 
-_LETTER_TO_KIND = {
-    Letter.CRE: CardKind.C,
-    Letter.ANN: CardKind.A,
-    Letter.SCA: CardKind.K,
-    Letter.MID: CardKind.M,
-}
-_LETTER_TO_KIND_T1 = {**_LETTER_TO_KIND, Letter.MID: CardKind.N}  # degenerate t = 1
-
-
 def arrangement(w: OperatorWord, degenerate_t: bool = False) -> CardArrangement:
     """Cards for an admissible word; the card index is the incoming level."""
     if not w.is_admissible():
         raise NotAdmissibleError(f"word {w} is not admissible")
-    kinds = _LETTER_TO_KIND_T1 if degenerate_t else _LETTER_TO_KIND
-    return CardArrangement(Card(kinds[x], lv) for x, lv in zip(w.letters, w.levels()))
+    kinds = w.letters.replace("M", "N") if degenerate_t else w.letters
+    return CardArrangement(Card(x, lv) for x, lv in zip(kinds, w.levels()))
 
 
 _CELL = 5
@@ -218,17 +192,17 @@ _CELL = 5
 def _card_cell(card: Card, h: int) -> str:
     """Width-5 picture of one card at height row h (h >= 1)."""
     kind, i = card.kind, card.level
-    if kind is CardKind.C:
+    if kind == "C":
         if h == i + 1:
             return "  /--"  # line arriving from below (new line when i = 0)
         if h <= i:
             return "--/--"  # incoming line rises away; lower line arrives
-    elif kind is CardKind.A:
+    elif kind == "A":
         if h == i:
             return "--\\  "  # top incoming line falls away; nothing arrives
         if h < i:
             return "--\\--"  # incoming line falls away; line from above arrives
-    elif kind is CardKind.K:
+    elif kind == "K":
         if h <= i:
             return "-----"
     else:  # M or N
@@ -247,13 +221,13 @@ def render_ascii(a: CardArrangement) -> str:
     """
     if not a.cards:
         return ""
-    heights = [c.level + 1 if c.kind is CardKind.C else c.level for c in a.cards]
+    heights = [c.level + 1 if c.kind == "C" else c.level for c in a.cards]
     top = max(heights)
     rows = []
     for h in range(top, 0, -1):
         cells = " ".join(_card_cell(c, h) for c in a.cards)
         rows.append(f"{h} | {cells}".rstrip())
-    ground = " ".join(f"  {c.kind.value}  " for c in a.cards)
+    ground = " ".join(f"  {c.kind}  " for c in a.cards)
     rows.append(f"0 | {ground}".rstrip())
     labels = " ".join(f"{c.label():<{_CELL}}" for c in a.cards)
     rows.append(f"    {labels}".rstrip())

@@ -53,6 +53,17 @@ def test_domain_checks():
         continued_fraction(1j, [1.0, 1.0], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_lambda_is_refused(lam):
+    # nan <= 0 is false, so a positivity test alone lets nan through
+    with pytest.raises(DomainError, match="lambda must be finite"):
+        jacobi_floats(lam, 0.5, 0.5, 5)
+    with pytest.raises(DomainError, match="lambda must be finite"):
+        cauchy_cf(1j, lam, 1.0, 1.0, 10)
+    with pytest.raises(DomainError, match="lambda must be finite"):
+        cauchy_cfree_closed(1j, lam)
+
+
 def test_jacobi_floats_limits():
     alphas, omegas = jacobi_floats(1.0, 1.0, 0.0, 5)
     assert alphas == [1.0, 2.0, 1.0, 1.0, 1.0]  # l, l+1, then l (t^k -> 0)

@@ -514,6 +514,38 @@ def test_fock_usage_error_before_any_output(capsys):
     assert code == 0 and json.loads(out)["dim"] == 2
 
 
+def test_fock_dump_and_relations_are_one_json_document(capsys):
+    code, out, _ = run(capsys, "fock", "--n", "2", "--dump", "scalar", "--relations",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["operator", "dim", "entries", "n", "relations", "all_hold"]
+    _, dump, _ = run(capsys, "fock", "--n", "2", "--dump", "scalar")
+    _, relations, _ = run(capsys, "fock", "--n", "2", "--relations", "--format", "json")
+    assert payload == {**json.loads(dump), **json.loads(relations)}
+
+
+JSON_COMMANDS = [
+    ("moments", "--nmax", "3"),
+    ("sequence", "--nmax", "4"),
+    ("partitions", "--n", "4"),
+    ("partitions", "--n", "4", "--list"),
+    ("partitions", "--n", "4", "--count-by-blocks"),
+    ("words", "--check", "CMA"),
+    ("fock", "--n", "2", "--dump", "poisson"),
+    ("fock", "--n", "2", "--relations"),
+    ("fock", "--n", "2", "--dump", "scalar", "--relations"),
+    ("cauchy", "--depth", "5", "--re=0:1:2", "--im=1:2:2"),
+]
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=[" ".join(a) for a in JSON_COMMANDS])
+def test_json_output_is_one_document(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    json.loads(out)
+
+
 def test_cauchy_csv_grid(capsys):
     code, out, _ = run(capsys, "cauchy", "--lam", "1", "--s-one", "--t-zero",
                        "--closed", "--re", "3:3:1", "--im", "1:2:2")

@@ -289,7 +289,7 @@ def test_weight_helper():
     assert weight(p) == mono(3, es=3, et=1)
 
 
-def test_moment_table_validation_and_cache():
+def test_moment_table_validation():
     t1 = moment_table(6, "jacobi")
     t2 = moment_table(6, "jacobi")
     assert t1 == t2

@@ -11,6 +11,7 @@ from fockpoisson.partitions import (
     NCPartition,
     SetPartition,
     block_depths,
+    block_sums,
     count_by_blocks,
     enumerate_family,
     enumerate_nc,
@@ -51,6 +52,17 @@ def test_set_partition_validation():
         SetPartition(3, [[1, 3], [2], []])  # empty block
     with pytest.raises(ValueError):
         NCPartition(4, [[1, 3], [2, 4]])  # crossing
+
+
+def test_negative_sizes_are_refused():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        SetPartition(-3, [])
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        NCPartition(-1, [])
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        block_sums(-1, lambda k, d: 1)
+    assert SetPartition(0, []).blocks == ()
+    assert block_sums(0, lambda k, d: 1) == [1]
 
 
 def test_blocks_sorted_by_minimum():

@@ -163,6 +163,14 @@ def test_negative_exponent_rejected():
         MultiPoly.term(1, el=Fraction(1, 3))
 
 
+@pytest.mark.parametrize("terms", [{(0, 0, 0): Fraction(1, 2)}, {(0, 0, 0): 2.7},
+                                   {(1.5, 0, 0): 1}],
+                         ids=["fraction-coeff", "float-coeff", "float-exponent"])
+def test_non_int_coefficients_and_exponents_are_refused(terms):
+    with pytest.raises(TypeError):
+        MultiPoly(terms)
+
+
 def test_mul_commutative_associative_random():
     rng = random.Random(1234)
     for _ in range(200):

@@ -6,8 +6,6 @@ from fockpoisson.poly import MultiPoly
 from fockpoisson.words import (
     Card,
     CardArrangement,
-    CardKind,
-    Letter,
     NotAdmissibleError,
     OperatorWord,
     arrangement,
@@ -26,15 +24,26 @@ def mono(el, es=0, et=0):
 
 def test_parse_and_str_roundtrip():
     assert str(WORD_A) == "CMCKAA"
-    assert WORD_A.letters[0] is Letter.CRE
-    assert WORD_A.letters[3] is Letter.SCA
+    assert WORD_A.letters[0] == "C"
+    assert WORD_A.letters[3] == "K"
     with pytest.raises(ValueError):
         OperatorWord.parse("CXA")
 
 
+def test_operator_word_takes_a_str():
+    assert OperatorWord("CMA").letters == "CMA" and str(OperatorWord("")) == ""
+    with pytest.raises(TypeError):
+        OperatorWord(("C", "A"))  # str() of a tuple-held word would fail
+    with pytest.raises(ValueError, match="invalid word letter 'X'"):
+        OperatorWord("CXA")
+    with pytest.raises(ValueError, match="invalid word letter 'c'"):
+        OperatorWord("ca")  # only parse folds case
+    assert OperatorWord.parse("cma") == OperatorWord("CMA")
+
+
 def test_levels_worked_examples():
     assert WORD_A.levels() == [0, 1, 1, 2, 2, 1]
-    assert OperatorWord(()).levels() == []
+    assert OperatorWord("").levels() == []
     assert WORD_B.levels() == [0, 1, 2, 3, 2, 2, 1]
 
 
@@ -44,7 +53,7 @@ def test_admissibility():
     assert not OperatorWord.parse("M").is_admissible()
     assert not OperatorWord.parse("AC").is_admissible()
     assert not OperatorWord.parse("C").is_admissible()  # unbalanced
-    assert OperatorWord(()).is_admissible()
+    assert OperatorWord("").is_admissible()
     assert OperatorWord.parse("K").is_admissible()
 
 
@@ -78,7 +87,7 @@ def test_arrangement_worked_examples():
 
 def test_card_weights_table():
     half = Fraction(1, 2)
-    assert Card(CardKind.C, 0).weight == mono(half)
+    assert Card("C", 0).weight == mono(half)
     assert arrangement(OperatorWord.parse("CA")).cards[1].weight == mono(half)
     assert arrangement(OperatorWord.parse("CCAA")).cards[2].weight == mono(half, es=1)
     assert arrangement(OperatorWord.parse("CKA")).cards[1].weight == mono(1, es=1)
@@ -89,9 +98,9 @@ def test_card_weights_table():
 def test_card_validation():
     with pytest.raises(ValueError):
         # annihilation cards require level >= 1
-        CardArrangement([Card(CardKind.A, 0)])
+        CardArrangement([Card("A", 0)])
     with pytest.raises(ValueError):
-        CardArrangement([Card(CardKind.M, 0)])
+        CardArrangement([Card("M", 0)])
     with pytest.raises(NotAdmissibleError):
         arrangement(OperatorWord.parse("AC"))
 
