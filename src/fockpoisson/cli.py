@@ -9,7 +9,8 @@ Options match by full name only.  Only moments --engine nc|all and partitions
 a CLI rule, checked before any work and lifted for one run by --force: each
 engine has a largest n in ENGINE_NMAX_LIMITS (nc 12, blockwise 28, jacobi 36,
 operator 40), moments --nmax past the limit of any chosen engine is refused,
-and so is partitions --list --n past the nc limit.
+and so is partitions --list --n past the nc limit, and partitions --n past
+COUNT_N_LIMIT (57) for the counts.
 
 Input is refused only through argparse: an argument's own rule is its type
 in build_parser, and a rule between two arguments, or an
@@ -61,6 +62,12 @@ _ENGINE_TABLES = {
 # threefold (nc) per row: jacobi --nmax 40 ran for 17 s at 406 MB, nc
 # --nmax 13 for 2.3 s.
 ENGINE_NMAX_LIMITS = {"nc": 12, "blockwise": 28, "jacobi": 36, "operator": 40}
+
+# Largest n that partitions counts without --force, with or without
+# --count-by-blocks.  The first-block recursion costs most for --family NC:
+# a count took 7.7 to 9.4 s at n = 57 and 10.3 to 11.4 s at 58 (17 MB RSS),
+# the other families at most 1.2 s at 57, on a 2-vCPU VM with Python 3.11.
+COUNT_N_LIMIT = 57
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
 
@@ -146,19 +153,15 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _engine_limit_exit(engines, n: int, force: bool) -> int:
-    """0 if every engine may compute up to size n; else report the first
-    engine whose limit n exceeds and return the exit code 3."""
-    if force:
+def _limit_exit(name: str, limit: int, n: int, force: bool) -> int:
+    """0 if the engine name may compute up to size n; else report its limit
+    and return the exit code 3."""
+    if force or n <= limit:
         return 0
-    for name in engines:
-        limit = ENGINE_NMAX_LIMITS[name]
-        if n > limit:
-            print(f"error: n = {n} exceeds the {name} engine's limit {limit}; "
-                  f"its cost grows steeply with n", file=sys.stderr)
-            print("pass --force to override the limit for this run", file=sys.stderr)
-            return 3
-    return 0
+    print(f"error: n = {n} exceeds the {name} engine's limit {limit}; "
+          f"its cost grows steeply with n", file=sys.stderr)
+    print("pass --force to override the limit for this run", file=sys.stderr)
+    return 3
 
 
 def _add_st_flags(parser, one, zero, value=None):
@@ -230,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --list, include depths and weights")
     p_par.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     p_par.add_argument("--force", action="store_true",
-                       help="with --list, override the nc engine's --n limit")
+                       help="override the --n limit for this run")
 
     p_wrd = add_command("words", "admissibility, bijection, card weights", _cmd_words)
     src = p_wrd.add_mutually_exclusive_group(required=True)
@@ -280,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_moments(args) -> int:
     engines = ENGINE_NAMES if args.engine == "all" else (args.engine,)
-    if code := _engine_limit_exit(engines, args.nmax, args.force):
+    lowest = min(engines, key=ENGINE_NMAX_LIMITS.get)
+    if code := _limit_exit(lowest, ENGINE_NMAX_LIMITS[lowest], args.nmax, args.force):
         return code
 
     tables = [_ENGINE_TABLES[name](args.nmax, args.s, args.t) for name in engines]
@@ -343,10 +347,13 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_partitions(args) -> int:
-    if not args.list and (args.stats or args.force):
-        args.error("--stats and --force apply only with --list")
+    if args.stats and not args.list:
+        args.error("--stats applies only with --list")
     if args.list and args.format == "csv":
         args.error("--list has no csv format; use plain or json")
+    name, limit = ("nc", ENGINE_NMAX_LIMITS["nc"]) if args.list else ("count", COUNT_N_LIMIT)
+    if code := _limit_exit(name, limit, args.n, args.force):
+        return code
     family = Family[args.family]
 
     if args.count_by_blocks:
@@ -365,8 +372,6 @@ def _cmd_partitions(args) -> int:
         return 0
 
     if args.list:
-        if code := _engine_limit_exit(("nc",), args.n, args.force):
-            return code
         items = []
         as_json = args.format == "json"
         for p in partitions.enumerate_family(args.n, family):

@@ -349,9 +349,11 @@ def moment_functional(p: XPoly, table: MomentTable) -> MultiPoly:
 
 
 class LimitCase(Enum):
-    FREE = "FREE"          # s = t = 1
-    BOOLEAN = "BOOLEAN"    # s -> 0, t -> 0
-    CFREE = "CFREE"        # s = 1, t -> 0
+    """A classical limit is its (s, t), ONE or ZERO substituted for each."""
+
+    FREE = (ONE, ONE)
+    BOOLEAN = (ZERO, ZERO)
+    CFREE = (ONE, ZERO)
 
 
 def limit_case(nmax: int, case: LimitCase) -> MomentTable:
@@ -360,9 +362,7 @@ def limit_case(nmax: int, case: LimitCase) -> MomentTable:
     nothing, so m_n counts a partition family by blocks (all non-crossing,
     interval, inner blocks of size <= 2); the tests check it against
     partitions.count_by_blocks."""
-    s, t = {LimitCase.FREE: (ONE, ONE), LimitCase.BOOLEAN: (ZERO, ZERO),
-            LimitCase.CFREE: (ONE, ZERO)}[case]
-    return MomentTable(n_max=nmax, m=tuple(blockwise_moments(nmax, s, t)))
+    return MomentTable(n_max=nmax, m=tuple(blockwise_moments(nmax, *case.value)))
 
 
 def cfree_moments(nmax: int) -> MomentTable:

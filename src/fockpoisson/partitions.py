@@ -21,11 +21,13 @@ back from the blocks in one stack sweep (block_depths).  nc_weight_counts
 runs the same walk with block_depths' stack carried in its frames, and
 counts the partitions by blocks, td1, td2 and trailing singletons without
 building any.  block_sums adds up per-block weights without listing any
-partition, and count_by_blocks counts the families with it.
+partition, and count_by_blocks counts with it the families: a Family is its
+inner-block cap, the most points a block at depth >= 1 may have.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from enum import Enum
 from itertools import combinations
@@ -255,32 +257,23 @@ def nc_weight_counts(n: int) -> dict:
 
 
 class Family(Enum):
-    """Restrictions on which blocks may be inner (depth >= 1)."""
+    """A family of NC(n) is its inner-block cap: the most points a block at
+    depth >= 1 may have; blocks at depth 0 are unrestricted."""
 
-    NC = "NC"
-    INTERVAL = "INTERVAL"
-    ALMOST_INTERVAL = "ALMOST_INTERVAL"
-    NC12_INNER = "NC12_INNER"
-
-
-# Blocks at depth 0 are unrestricted; an inner block of size k must pass
-# its family's test.
-_INNER_OK = {
-    Family.NC: lambda k: True,
-    Family.INTERVAL: lambda k: False,
-    Family.ALMOST_INTERVAL: lambda k: k == 1,
-    Family.NC12_INNER: lambda k: k <= 2,
-}
+    NC = math.inf
+    INTERVAL = 0
+    ALMOST_INTERVAL = 1
+    NC12_INNER = 2
 
 
 def enumerate_family(n: int, family: Family):
-    """Yield the members of the requested restricted family of NC(n); the
-    depths are swept only for a partition with a block that may not be inner."""
-    ok = _INNER_OK[family]
+    """Yield the members of NC(n) whose inner blocks have at most family.value
+    points; the depths are swept only for a partition with a larger block."""
+    cap = family.value
     for p in enumerate_nc(n):
         blocks = p.blocks
-        if all(ok(len(b)) for b in blocks) or all(
-                d == 0 or ok(len(b)) for b, d in zip(blocks, block_depths(blocks))):
+        if max(map(len, blocks)) <= cap or all(
+                d == 0 or len(b) <= cap for b, d in zip(blocks, block_depths(blocks))):
             yield p
 
 
@@ -322,11 +315,13 @@ def block_sums(n: int, weight):
 def count_by_blocks(n: int, family: Family):
     """Counts of family members with exactly k blocks, for k = 1..n: the
     coefficients of l^k in the first-block recursion where a block weighs l
-    if the family admits it at its depth and 0 if not.  moments.limit_case
-    substitutes (s, t) into the moment recursion instead; the tests check
-    that NC, INTERVAL and NC12_INNER are its FREE, BOOLEAN and CFREE rows."""
+    if it is at depth 0 or has at most family.value points, and 0 if not.
+    moments.limit_case substitutes (s, t) into the moment recursion instead:
+    FREE (s = t = 1) removes no inner block, BOOLEAN (s, t -> 0) every one and
+    CFREE (s = 1, t -> 0) those of three or more points, so the tests check
+    NC, INTERVAL and NC12_INNER against those rows."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ok = _INNER_OK[family]
-    total = block_sums(n, lambda k, d: LAM if d == 0 or ok(k) else 0)[n]
+    cap = family.value
+    total = block_sums(n, lambda k, d: LAM if d == 0 or k <= cap else 0)[n]
     return [total.coefficient(el=k) for k in range(1, n + 1)]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -481,6 +482,40 @@ def test_partitions_list_admits_the_nc_limit_and_force(capsys, monkeypatch):
     assert listed == [12, 13]
 
 
+@pytest.mark.parametrize("mode", [(), ("--count-by-blocks",)])
+def test_partitions_count_limit_refuses_before_the_recursion(capsys, monkeypatch, mode):
+    from fockpoisson import cli, partitions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("block_sums ran")
+
+    monkeypatch.setattr(partitions, "block_sums", refuse)
+    n = cli.COUNT_N_LIMIT + 1
+    code, out, err = run(capsys, "partitions", "--n", str(n), *mode)
+    assert code == 3 and out == ""
+    assert err == (f"error: n = {n} exceeds the count engine's limit {cli.COUNT_N_LIMIT}; "
+                   "its cost grows steeply with n\n"
+                   "pass --force to override the limit for this run\n")
+
+
+def test_partitions_count_admits_its_limit_and_force(capsys):
+    from fockpoisson import cli
+
+    # the interval partitions of [n] are the 2**(n - 1) compositions of n,
+    # C(n - 1, k - 1) of them with k blocks
+    limit = cli.COUNT_N_LIMIT
+    assert limit >= 19  # README counts partitions --n 19; the benchmark --n 10
+    for argv in (("--n", str(limit)), ("--n", str(limit + 1), "--force")):
+        n = int(argv[1])
+        code, out, _ = run(capsys, "partitions", *argv, "--family", "INTERVAL")
+        assert code == 0 and out == f"{2 ** (n - 1)}\n"
+        code, out, _ = run(capsys, "partitions", *argv, "--family", "INTERVAL",
+                           "--count-by-blocks", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1:] == [f"{k},{math.comb(n - 1, k - 1)}"
+                                        for k in range(1, n + 1)]
+
+
 def test_partitions_count_beyond_enumeration_cap(capsys):
     code, out, _ = run(capsys, "partitions", "--n", "19")
     assert code == 0
@@ -707,10 +742,9 @@ def test_usage_errors_exit_two(capsys):
             main(argv)
         assert exc.value.code == 2
     capsys.readouterr()
-    for flag in ("--stats", "--force"):  # these apply only with --list
-        code, out, err = run(capsys, "partitions", "--n", "4", flag)
-        assert code == 2 and out == ""
-        assert "only with --list" in err
+    code, out, err = run(capsys, "partitions", "--n", "4", "--stats")  # only with --list
+    assert code == 2 and out == ""
+    assert "only with --list" in err
 
 
 # inputs refused by a rule on one or two arguments, or by the cauchy domain,
@@ -719,8 +753,7 @@ COMMAND_INPUT_ERRORS = [
     (("moments", "--nmax", "-1"), "argument --nmax: must be >= 0"),
     (("sequence", "--nmax", "0"), "argument --nmax: must be >= 1"),
     (("partitions", "--n", "0"), "argument --n: must be >= 1"),
-    (("partitions", "--n", "4", "--stats"), "--stats and --force apply only with --list"),
-    (("partitions", "--n", "4", "--force"), "--stats and --force apply only with --list"),
+    (("partitions", "--n", "4", "--stats"), "--stats applies only with --list"),
     (("partitions", "--n", "3", "--list", "--format", "csv"), "--list has no csv format"),
     (("words", "--check", "CXA"), "argument --check: invalid word letter 'X'"),
     (("words", "--from-partition", "[[1,3],[2,4]]"),

@@ -455,6 +455,20 @@ def test_limits_count_their_partition_families():
             assert table.m[n] == expected, (case, n)  # no s or t left
 
 
+@pytest.mark.parametrize("case,family", [(LimitCase.FREE, Family.NC),
+                                         (LimitCase.BOOLEAN, Family.INTERVAL),
+                                         (LimitCase.CFREE, Family.NC12_INNER)])
+def test_each_limit_keeps_the_inner_blocks_of_its_family(case, family):
+    # a block of k points at depth d weighs l * s^d * t^((k-2)*d) in the
+    # first-block recursion; at the limit's (s, t) it survives exactly
+    # when the family admits it: at depth 0, or with at most its cap points
+    s, t = case.value
+    for k in range(1, 7):
+        for d in range(4):
+            w = LAM * s**d * t**(max(k - 2, 0) * d)
+            assert bool(w) == (d == 0 or k <= family.value), (k, d)
+
+
 def test_moment_nonnegativity_and_integral_exponents():
     table = moment_table(10, "nc")
     for n in range(11):

@@ -248,6 +248,31 @@ def test_count_by_blocks_matches_enumeration():
             assert count_by_blocks(n, family) == counts, (family, n)
 
 
+def _nested(blocks):
+    """The blocks nested in another block, by the depth of their first point."""
+    return [b for b in blocks if element_depth(blocks, b[0]) > 0]
+
+
+# each family by its definition, on the blocks nested in another
+FAMILY_RULES = [
+    (Family.NC, lambda nested: True),
+    (Family.INTERVAL, lambda nested: not nested),
+    (Family.ALMOST_INTERVAL, lambda nested: all(len(b) == 1 for b in nested)),
+    (Family.NC12_INNER, lambda nested: all(len(b) <= 2 for b in nested)),
+]
+
+
+@pytest.mark.parametrize("family,rule", FAMILY_RULES, ids=[f.name for f, _ in FAMILY_RULES])
+def test_families_match_their_definitions(family, rule):
+    for n in range(1, 9):
+        members = sorted(blocks for blocks in nc_bruteforce(n) if rule(_nested(blocks)))
+        assert sorted(p.blocks for p in enumerate_family(n, family)) == members, n
+        counts = [0] * n
+        for blocks in members:
+            counts[len(blocks) - 1] += 1
+        assert count_by_blocks(n, family) == counts, n
+
+
 def test_counting_never_enumerates(monkeypatch, capsys):
     from fockpoisson import cli, moments, partitions
     from fockpoisson.moments import LimitCase
