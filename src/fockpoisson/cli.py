@@ -56,11 +56,11 @@ _ENGINE_TABLES = {
 # for nc also partitions --list --n, which lists the same NC(n) and keeps
 # the limit 12 although the nc table is cheaper.  At its limit a run took
 # 0.7 s (nc; 3.4 s for partitions --list, 7 s with --stats), 8 s
-# (blockwise, 58 MB RSS), 5.5 to 6 s (jacobi, 213 MB) and 8 to 9 s
-# (operator, 420 MB) on a 2-vCPU VM with Python 3.11, and the cost grows
-# by about a fifth (jacobi, operator), three quarters (blockwise) or
-# threefold (nc) per row: jacobi --nmax 40 ran for 17 s at 406 MB, nc
-# --nmax 13 for 2.3 s.
+# (blockwise, 58 MB RSS), 5.9 to 6.1 s (jacobi, 213 MB) and 6.7 to 9.5 s
+# (operator, 414 MB) on a 2-vCPU VM with Python 3.11, three runs each, and
+# the cost grows by about a fifth (jacobi, operator), three quarters
+# (blockwise) or threefold (nc) per row: jacobi --nmax 40 ran for 17 s at
+# 406 MB, nc --nmax 13 for 2.3 s.
 ENGINE_NMAX_LIMITS = {"nc": 12, "blockwise": 28, "jacobi": 36, "operator": 40}
 
 # Largest n that partitions counts without --force, with or without
@@ -329,7 +329,7 @@ def _cmd_sequence(args) -> int:
     # l = 1, s = 1, t -> 0 substituted into one Jacobi walk over the integers;
     # cfree_moments, the first-block recursion at s = 1, t -> 0, is the tests'
     # oracle for these values
-    values = moments.motzkin_walk(args.nmax, 1, 1, 0)[1:]
+    values = moments.motzkin_walk(args.nmax, moments.jacobi(args.nmax // 2 + 1, 1, 1, 0))[1:]
     upto = min(args.nmax, len(CFREE_SEQUENCE_REFERENCE))
     matches = tuple(values[:upto]) == CFREE_SEQUENCE_REFERENCE[:upto]
     if args.format == "plain":

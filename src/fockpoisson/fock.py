@@ -8,19 +8,15 @@ index 0 being the vacuum.  The four generators act as
     scalar:        m -> m,   entry s^m
     intermediate:  m -> m,   entry t^(m-1) for m >= 1, vacuum -> 0
 
-and the Poisson operator is  intermediate + sqrt(l)*(creation + annihilation)
-+ l*scalar.  Vacuum moments are the (0, 0) entries of its powers:
-vacuum_moments(n) gets m_0..m_n from one walk from the vacuum, and
-vacuum_moment(n) is row n of moments.ENGINE_TABLES["operator"], that walk
-at s = 2**(2n) where moments._s_digits allows it.  After k of
-the n steps, a level above k is not reached yet and a level above n - k is
-more steps down than remain, so nothing there returns to the vacuum; the
-walk computes only the levels <= min(k, n - k) of its vector.  A path of
-length k <= n that returns to the vacuum stays within that window, so the
-vacuum entry after step k is exactly m_k.  The window never passes level
-n // 2, so the walk reads only matrix entries in rows and columns <= n // 2,
-which every truncation at N >= n // 2 shares: vacuum_moments truncates at
-N = max(1, n // 2), as motzkin_walk builds only jacobi(n // 2 + 1).
+and the Poisson operator is P = intermediate + sqrt(l)*(creation +
+annihilation) + l*scalar.  The operator engine's own content is these
+entries: P is a Jacobi operator (Accardi-Bozejko 1998), P[k][k] is
+alpha_(k+1) and P[k+1][k] * P[k][k+1] is omega_(k+1) of moments.jacobi, so
+its vacuum moments, the (0, 0) entries of its powers, are Motzkin-path sums.
+vacuum_moments(n) reads the coefficients off poisson_matrix(n // 2 + 1) and
+walks them with moments.motzkin_walk; vacuum_moment(n) is row n of
+moments.ENGINE_TABLES["operator"], that walk at s = 2**(2n) where
+moments._s_digits allows it.  FockMatrix multiplies only in apply.
 """
 
 from __future__ import annotations
@@ -67,34 +63,22 @@ class FockMatrix:
     def __matmul__(self, other):
         if not isinstance(other, FockMatrix) or other.dim != self.dim:
             return NotImplemented
-        n = self.dim
-        out = FockMatrix.zeros(n)
-        for i in range(n):
-            row = self.entries[i]
-            for k in range(n):
-                a = row[k]
-                if not a:
-                    continue
-                other_row = other.entries[k]
-                for j in range(n):
-                    b = other_row[j]
-                    if b:
-                        out.entries[i][j] = out.entries[i][j] + a * b
-        return out
+        return FockMatrix(zip(*map(self.apply, zip(*other.entries))))
 
-    def apply(self, vec, rows=None):
-        """The first rows entries (default: all dim) of the matrix-vector
-        product over MultiPoly entries; only those rows are computed.
+    def apply(self, vec):
+        """The matrix-vector product over MultiPoly entries, dim entries long.
 
         vec may be shorter than dim; its missing entries are zero.  Only
         entries where both the matrix and the vector are nonzero are
         multiplied, so a band matrix times a short vector costs the band.
         """
+        nonzero = [(j, x) for j, x in enumerate(vec[:self.dim]) if x]
         out = []
-        for row in self.entries[:rows]:
+        for row in self.entries:
             acc = ZERO
-            for a, x in zip(row, vec):
-                if a and x:
+            for j, x in nonzero:
+                a = row[j]
+                if a:
                     term = a * x
                     acc = acc + term if acc else term
             out.append(acc)
@@ -144,15 +128,14 @@ def poisson_matrix(N: int, s=S, t=T) -> FockMatrix:
 
 def vacuum_moments(n: int, s=S, t=T) -> list:
     """[m_0, ..., m_n], the (0,0) entries of the Poisson operator's powers
-    0..n, from one walk from the vacuum truncated at level max(1, n // 2)."""
+    0..n, walked over the coefficients read off poisson_matrix(n // 2 + 1)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    P = poisson_matrix(max(1, n // 2), s, t)
-    vec, table = [ONE], [ONE]
-    for k in range(1, n + 1):
-        vec = P.apply(vec, min(k, n - k) + 1)
-        table.append(vec[0])
-    return table
+    from .moments import motzkin_walk  # moments imports this module
+    P = poisson_matrix(n // 2 + 1, s, t).entries
+    levels = range(n // 2 + 1)
+    return motzkin_walk(n, ([P[k][k] for k in levels],
+                            [P[k + 1][k] * P[k][k + 1] for k in levels]))
 
 
 def vacuum_moment(n: int, s=S, t=T) -> MultiPoly:

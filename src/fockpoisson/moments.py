@@ -9,18 +9,22 @@ Three independent routes compute the same moment polynomial m_n(l, s, t):
   * moment_blockwise - the same sum as a per-block product, a block of size k
                        at depth d weighing l * s^d * t^((k-2)*d), added up by
                        the first-block recursion partitions.block_sums,
-  * moment_jacobi    - (0,0) entry of powers of the monic tridiagonal matrix
-                       built from the recurrence coefficients of jacobi(),
+  * moment_jacobi    - the Motzkin-path sum over the recurrence coefficients
+                       of jacobi(), from one motzkin_walk (jacobi_moments).
 
-with the operator engine in fockpoisson.fock as a fourth.  Exact agreement of
-all four is the package's central cross-check and is wired into the test
-suite and the CLI's all-engines mode.  ENGINE_TABLES is the one map from
-engine name to its table function (n, s, t) -> [m_0, ..., m_n], one walk or
-recursion that each sizes from n alone; moment_table and the CLI read it,
-and the single-row functions are a table's last entry.  Every table
-function raises ValueError("n must be >= 0") for n < 0 and gives [ONE] for
-n = 0 from its walk.  nc_moments reads row n - j off the members of NC(n)
-whose last j points are singletons at depth 0, with j blocks fewer.
+The operator engine in fockpoisson.fock is a fourth: the same motzkin_walk
+over the coefficients read off the Poisson operator's matrix.  So jacobi
+and operator agree through the identities between its entries and jacobi(),
+which the tests check as polynomials; nc and blockwise, which walk no
+matrix, are the independent checks on the walk.  Exact agreement of all
+four is wired into the test suite and the CLI's all-engines mode.
+ENGINE_TABLES is the one map from engine name to its table function
+(n, s, t) -> [m_0, ..., m_n], one walk or recursion that each sizes from n
+alone; moment_table and the CLI read it, and the single-row functions are a
+table's last entry.  Every table function raises ValueError("n must be >=
+0") for n < 0 and gives [ONE] for n = 0 from its walk.  nc_moments reads
+row n - j off the members of NC(n) whose last j points are singletons at
+depth 0, with j blocks fewer.
 
 For s = S and t one of T, ONE, ZERO, the jacobi, operator and blockwise
 tables walk with s = 2**(2n) substituted, over MultiPoly in l and t alone,
@@ -170,22 +174,27 @@ def ortho_polys(nmax: int):
 # -- the three moment engines -----------------------------------------------
 
 
-def motzkin_walk(n: int, lam, s, t) -> list:
+def motzkin_walk(n: int, jp) -> list:
     """[m_0, ..., m_n] from one walk over the levels of the Jacobi matrix
-    of jacobi(kmax, lam, s, t), in the ring of lam, whose unit is lam ** 0
-    (ONE for MultiPoly, 1 for int, Fraction(1) for Fraction).
+    with coefficients jp: a JacobiParams, or any (alpha, omega) pair with at
+    least n // 2 + 1 alphas and n // 2 omegas, in a ring whose unit is
+    alpha[0] ** 0 (ONE for MultiPoly, 1 for int, Fraction(1) for Fraction).
 
-    m_k is a sum over Motzkin paths from level 0 back to level 0 (Flajolet
-    1980).  After step k of n a path is at a level <= k, and it can still
-    return only from a level <= n - k, so step k computes levels
+    m_k is a sum over Motzkin paths from level 0 back to level 0, a step
+    weighing alpha[i] at level i, omega[i] down from level i + 1 and 1 up
+    (Flajolet 1980).  After step k of n a path is at a level <= k, and it
+    can still return only from a level <= n - k, so step k computes levels
     0..min(k, n - k) alone.  The dropped levels carry no path of length
     <= n that ends at 0, so level 0 after step k is exactly m_k, and the walk
-    never goes above level n // 2, whose alpha is alpha_kmax.
+    never goes above level n // 2: any truncation at a level >= n // 2 gives
+    the same m_0..m_n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    jp = jacobi(n // 2 + 1, lam, s, t)
-    one = lam ** 0
+    alpha, omega = jp
+    if len(alpha) <= n // 2 or len(omega) < n // 2:
+        raise ValueError(f"a walk of {n} steps needs {n // 2 + 1} alphas and {n // 2} omegas")
+    one = alpha[0] ** 0
     vec, table = [one], [one]
     for k in range(1, n + 1):
         top = len(vec) - 1
@@ -194,15 +203,22 @@ def motzkin_walk(n: int, lam, s, t) -> list:
             if i > top:  # a level first reached now, by a step up alone
                 new.append(vec[i - 1])
                 continue
-            acc = jp.alpha[i] * vec[i]
+            acc = alpha[i] * vec[i]
             if i > 0:
                 acc = acc + vec[i - 1]
             if i < top:
-                acc = acc + jp.omega[i] * vec[i + 1]
+                acc = acc + omega[i] * vec[i + 1]
             new.append(acc)
         vec = new
         table.append(vec[0])
     return table
+
+
+def jacobi_moments(n: int, s=S, t=T) -> list:
+    """[m_0, ..., m_n] from the motzkin_walk over jacobi(n // 2 + 1)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return motzkin_walk(n, jacobi(n // 2 + 1, LAM, s, t))
 
 
 def _s_digits(n: int, s, t):
@@ -229,7 +245,7 @@ def moment_jacobi(n: int, s=S, t=T) -> MultiPoly:
     """Vacuum moment as the (0,0) entry of the n-th monic Jacobi matrix
     power, walked as in the jacobi table; only row n is read back."""
     s_walk, read = _s_digits(n, s, t)
-    return read(motzkin_walk(n, LAM, s_walk, t)[n])
+    return read(jacobi_moments(n, s_walk, t)[n])
 
 
 def weight(p: NCPartition, st=None) -> MultiPoly:
@@ -318,7 +334,7 @@ class MomentTable(namedtuple("MomentTable", "n_max m")):
 ENGINE_TABLES = {
     "nc": lambda n, s, t: nc_moments(n, s, t),
     "blockwise": _substituted(lambda n, s, t: blockwise_moments(n, s, t)),
-    "jacobi": _substituted(lambda n, s, t: motzkin_walk(n, LAM, s, t)),
+    "jacobi": _substituted(lambda n, s, t: jacobi_moments(n, s, t)),
     "operator": _substituted(lambda n, s, t: fock.vacuum_moments(n, s, t)),
 }
 

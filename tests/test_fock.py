@@ -8,6 +8,7 @@ from fockpoisson.fock import (
     vacuum_moment,
     vacuum_moments,
 )
+from fockpoisson.moments import jacobi
 from fockpoisson.poly import LAM, ONE, SQRT_LAM, S, T, ZERO, MultiPoly
 
 from oracles import identity_rows, nc_bruteforce, weight_exponents
@@ -73,16 +74,33 @@ def test_vacuum_moment_matches_nc_oracle():
         assert vacuum_moment(n) == expected
 
 
+PAIRS = [(s, t) for s in (S, ONE, ZERO) for t in (T, ONE, ZERO)]
+
+
 def test_trimmed_walk_matches_dense_powers():
-    # every row of the walk truncated at level n, against the (0,0) entries
-    # of the full matrix powers three levels deeper, no level dropped
-    for n in range(1, 11):
-        P = poisson_matrix(n + 3)
-        power, rows = P, [ONE, P.entry(0, 0)]
-        for _ in range(n - 1):
-            power = power @ P
-            rows.append(power.entry(0, 0))
-        assert vacuum_moments(n) == rows
+    # every row of the walk over the coefficients read off the matrix,
+    # against the (0,0) entries of the full matrix powers three levels
+    # deeper, no level dropped; the powers multiply through apply
+    for s, t in PAIRS:
+        for n in range(1, 11):
+            P = poisson_matrix(n + 3, s, t)
+            power, rows = P, [ONE, P.entry(0, 0)]
+            for _ in range(n - 1):
+                power = power @ P
+                rows.append(power.entry(0, 0))
+            assert vacuum_moments(n, s, t) == rows, (n, s, t)
+
+
+@pytest.mark.parametrize("s, t, kmax", [(S, T, 200), *((s, t, 60) for s, t in PAIRS[1:])],
+                         ids=str)
+def test_entries_are_the_recurrence_coefficients(s, t, kmax):
+    # the operator engine's own content: the diagonal is alpha_(k+1) and
+    # the product of the two off-diagonal entries omega_(k+1), as polynomials
+    P = poisson_matrix(kmax, s, t)
+    jp = jacobi(kmax, LAM, s, t)
+    for k in range(kmax):
+        assert P.entry(k, k) == jp.alpha[k], (k, s, t)
+        assert P.entry(k + 1, k) * P.entry(k, k + 1) == jp.omega[k], (k, s, t)
 
 
 def test_apply_reads_missing_vector_entries_as_zero():
@@ -91,14 +109,6 @@ def test_apply_reads_missing_vector_entries_as_zero():
     assert P.apply(short) == P.apply(short + [ZERO] * 2)
     assert len(P.apply(short)) == P.dim
     assert P.apply([]) == [ZERO] * P.dim
-
-
-def test_apply_row_limit_equals_the_slice():
-    P = poisson_matrix(5)
-    for vec in ([], [ONE, SQRT_LAM, ZERO, LAM], [LAM, ONE, S, T, ZERO, SQRT_LAM]):
-        full = P.apply(vec)
-        for rows in range(P.dim + 1):
-            assert P.apply(vec, rows) == full[:rows], (vec, rows)
 
 
 def test_check_relations():

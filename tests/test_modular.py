@@ -15,7 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from fockpoisson.moments import motzkin_walk  # noqa: E402
+from fockpoisson.moments import jacobi, motzkin_walk  # noqa: E402
 from fockpoisson.partitions import block_sums  # noqa: E402
 
 P = 2**61 - 1
@@ -56,4 +56,4 @@ residues = st.integers(0, P - 1).map(Mod)
 @given(st.integers(21, 48), residues, residues, residues)
 def test_jacobi_walk_equals_the_first_block_recursion(n, l, s, t):
     blockwise = block_sums(n, lambda k, d: l * s**d * t ** (max(k - 2, 0) * d))
-    assert motzkin_walk(n, l, s, t) == blockwise
+    assert motzkin_walk(n, jacobi(n // 2 + 1, l, s, t)) == blockwise

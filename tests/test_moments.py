@@ -14,6 +14,7 @@ from fockpoisson.moments import (
     blockwise_moments,
     cfree_moments,
     jacobi,
+    jacobi_moments,
     limit_case,
     moment_blockwise,
     moment_functional,
@@ -168,7 +169,7 @@ def test_engines_agree_at_n20():
     rows = [moment_jacobi(k) for k in range(21)]
     assert fock.vacuum_moments(20) == rows
     assert blockwise_moments(20) == rows
-    assert motzkin_walk(20, LAM, S, T) == rows
+    assert motzkin_walk(20, jacobi(11)) == rows
 
 
 def test_catalan_bounds_every_moment_coefficient():
@@ -176,33 +177,45 @@ def test_catalan_bounds_every_moment_coefficient():
     # to m_n(1, 1, 1) = Catalan(n) < 4**n, so no base-4**n digit carries
     for n in range(1, 41):
         catalan = comb(2 * n, n) // (n + 1)
-        assert motzkin_walk(n, 1, 1, 1)[n] == catalan < 4**n
+        assert motzkin_walk(n, jacobi(n // 2 + 1, 1, 1, 1))[n] == catalan < 4**n
 
 
 @pytest.mark.parametrize("t", [T, ONE, ZERO], ids=["t", "t-one", "t-zero"])
 def test_moment_jacobi_reads_back_the_direct_walk(t):
     m = moment_jacobi(22, S, t)
-    assert m == motzkin_walk(22, LAM, S, t)[22]
+    assert m == motzkin_walk(22, jacobi(12, LAM, S, t))[22]
     # the read-back's degree bound covers every term it wrote
     assert all(m.coefficient(el2 // 2, es, et) == c for (el2, es, et), c in m.terms())
 
 
 def test_moment_table_reads_back_every_row_with_one_width():
-    assert moment_table(20, "jacobi").m == tuple(motzkin_walk(20, LAM, S, T))
+    assert moment_table(20, "jacobi").m == tuple(motzkin_walk(20, jacobi(11)))
 
 
 def test_motzkin_walk_over_fractions():
-    # the walk's unit is lam ** 0, here Fraction(1); moment_jacobi evaluated
-    # at the same point is the check
+    # the walk's unit is alpha[0] ** 0, here Fraction(1); moment_jacobi
+    # evaluated at the same point is the check
     lam, s, t = Fraction(9, 4), Fraction(2, 7), Fraction(5, 11)
-    walk = motzkin_walk(12, lam, s, t)
+    jp = jacobi(7, lam, s, t)
+    walk = motzkin_walk(12, jp)
     assert type(walk[0]) is Fraction
     for n in range(13):
-        assert motzkin_walk(n, lam, s, t)[n] == walk[n] == moment_jacobi(n).eval(lam, s, t)
+        assert motzkin_walk(n, jp)[n] == walk[n] == moment_jacobi(n).eval(lam, s, t)
+
+
+def test_motzkin_walk_refuses_too_few_coefficients():
+    # 7 steps reach level 3: alpha_1..alpha_4 and omega_1..omega_3
+    alpha, omega = jacobi(4)
+    assert motzkin_walk(7, (alpha, omega[:3])) == jacobi_moments(7)
+    for short in ((alpha[:3], omega), (alpha, omega[:2]), ((), ())):
+        with pytest.raises(ValueError, match="a walk of 7 steps needs 4 alphas and 3 omegas"):
+            motzkin_walk(7, short)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        motzkin_walk(-1, (alpha, omega))
 
 
 def test_motzkin_walk_over_ints_is_the_cfree_sequence():
-    assert tuple(motzkin_walk(10, 1, 1, 0)[1:]) == CFREE_SEQUENCE_REFERENCE
+    assert tuple(motzkin_walk(10, jacobi(6, 1, 1, 0))[1:]) == CFREE_SEQUENCE_REFERENCE
 
 
 @pytest.mark.parametrize("s, t", [(ONE, ZERO), (ZERO, ZERO)], ids=["cfree", "boolean"])
@@ -315,7 +328,7 @@ def test_every_engine_table_keeps_the_contract(engine):
 # the walk behind each table that runs at s = 2**(2n): the module attribute
 # the table calls, and the same walk called directly
 PLAIN_WALKS = {
-    "jacobi": ((moments, "motzkin_walk"), lambda n, s, t: motzkin_walk(n, LAM, s, t)),
+    "jacobi": ((moments, "jacobi_moments"), jacobi_moments),
     "operator": ((fock, "vacuum_moments"), fock.vacuum_moments),
     "blockwise": ((moments, "blockwise_moments"), blockwise_moments),
 }
@@ -357,16 +370,22 @@ def test_moment_table_rows_match_moment_jacobi(engine, n_max):
 
 
 def test_moment_table_operator_walks_once(monkeypatch):
-    calls = []
-    apply = fock.FockMatrix.apply
+    walks, products = [], []
+    walk, apply = moments.motzkin_walk, fock.FockMatrix.apply
 
-    def counted(self, *args):
-        calls.append(args)
-        return apply(self, *args)
+    def counted_walk(n, jp):
+        walks.append(n)
+        return walk(n, jp)
 
-    monkeypatch.setattr(fock.FockMatrix, "apply", counted)
+    def counted_apply(self, vec):
+        products.append(vec)
+        return apply(self, vec)
+
+    monkeypatch.setattr(moments, "motzkin_walk", counted_walk)
+    monkeypatch.setattr(fock.FockMatrix, "apply", counted_apply)
     moment_table(12, "operator")
-    assert len(calls) == 12  # one per step of one walk; 78 when built per row
+    assert walks == [12]  # one walk for the table; 12 when built per row
+    assert products == []  # the walk reads the matrix entries, it multiplies none
 
 
 def test_moment_functional_basics():
