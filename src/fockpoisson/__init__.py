@@ -48,6 +48,7 @@ from .moments import (
     blockwise_moments,
     cfree_moments,
     jacobi,
+    jacobi_moments,
     limit_case,
     moment_blockwise,
     moment_functional,
@@ -92,6 +93,7 @@ __all__ = [
     "blockwise_moments",
     "cfree_moments",
     "jacobi",
+    "jacobi_moments",
     "limit_case",
     "moment_blockwise",
     "moment_functional",

@@ -85,8 +85,11 @@ def cauchy_cfree_closed(z: complex, lam: float) -> complex:
     _check_upper_half_plane(z)
     _check_lambda(lam)
     r = 2 * math.sqrt(lam)
-    root = cmath.sqrt(z - lam - r) * cmath.sqrt(z - lam + r)
-    numer = 2 * z**2 - (2 + 5 * lam) * z + 3 * lam**2 + lam * root
-    denom = 2 * (z**3 - (1 + 3 * lam) * z**2 + 3 * lam**2 * z - lam**3)
-    return numer / denom
+    try:
+        root = cmath.sqrt(z - lam - r) * cmath.sqrt(z - lam + r)
+        numer = 2 * z**2 - (2 + 5 * lam) * z + 3 * lam**2 + lam * root
+        denom = 2 * (z**3 - (1 + 3 * lam) * z**2 + 3 * lam**2 * z - lam**3)
+        return numer / denom
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"the closed form leaves the float range at z = {z}") from None
 

@@ -480,22 +480,24 @@ def _cmd_cauchy(args) -> int:
         args.error("--closed requires s = 1 and t -> 0 (--s-one --t-zero)")
 
     # lam, s, t and depth are fixed for the command, so the coefficients are
-    # built once; each point is what analytic.cauchy_cf(z, ...) returns.  The
-    # grid is finite and in the upper half-plane, so no point raises.
+    # built once; each point is what analytic.cauchy_cf(z, ...) returns.  A
+    # value past the float range refuses its point before anything prints.
+    rows = []
     try:
         alphas, omegas = analytic.jacobi_floats(args.lam, args.s, args.t, args.depth)
+        for im in args.im:
+            for re in args.re:
+                z = complex(re, im)
+                g = analytic.continued_fraction(z, alphas, omegas)
+                row = [re, im, g.real, g.imag]
+                if args.closed:
+                    gc = analytic.cauchy_cfree_closed(z, args.lam)
+                    row += [gc.real, gc.imag, abs(g - gc)]
+                if not all(map(math.isfinite, row)):
+                    raise analytic.DomainError(f"a value is not finite at z = {z}")
+                rows.append(row)
     except analytic.DomainError as exc:
         args.error(str(exc))
-    rows = []
-    for im in args.im:
-        for re in args.re:
-            z = complex(re, im)
-            g = analytic.continued_fraction(z, alphas, omegas)
-            row = [re, im, g.real, g.imag]
-            if args.closed:
-                gc = analytic.cauchy_cfree_closed(z, args.lam)
-                row += [gc.real, gc.imag, abs(g - gc)]
-            rows.append(row)
 
     header = ["re_z", "im_z", "re_g", "im_g"]
     if args.closed:

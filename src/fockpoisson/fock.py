@@ -13,10 +13,10 @@ annihilation) + l*scalar.  The operator engine's own content is these
 entries: P is a Jacobi operator (Accardi-Bozejko 1998), P[k][k] is
 alpha_(k+1) and P[k+1][k] * P[k][k+1] is omega_(k+1) of moments.jacobi, so
 its vacuum moments, the (0, 0) entries of its powers, are Motzkin-path sums.
-vacuum_moments(n) reads the coefficients off poisson_matrix(n // 2 + 1) and
-walks them with moments.motzkin_walk; vacuum_moment(n) is row n of
-moments.ENGINE_TABLES["operator"], that walk at s = 2**(2n) where
-moments._s_digits allows it.  FockMatrix multiplies only in apply.
+vacuum_moments(n) reads the coefficients off poisson_matrix(n // 2 + 1) at
+s = 2**(2n) where moments._s_digits allows it, walks them with
+moments.motzkin_walk and reads the rows back; vacuum_moment(n) is its row n.
+FockMatrix multiplies only in apply.
 """
 
 from __future__ import annotations
@@ -128,20 +128,18 @@ def poisson_matrix(N: int, s=S, t=T) -> FockMatrix:
 
 def vacuum_moments(n: int, s=S, t=T) -> list:
     """[m_0, ..., m_n], the (0,0) entries of the Poisson operator's powers
-    0..n, walked over the coefficients read off poisson_matrix(n // 2 + 1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    from .moments import motzkin_walk  # moments imports this module
-    P = poisson_matrix(n // 2 + 1, s, t).entries
+    0..n: the walk over poisson_matrix(n // 2 + 1) at moments._s_digits' s."""
+    from .moments import _s_digits, motzkin_walk  # moments imports this module
+    s_walk, read = _s_digits(n, s, t)
+    P = poisson_matrix(n // 2 + 1, s_walk, t).entries
     levels = range(n // 2 + 1)
-    return motzkin_walk(n, ([P[k][k] for k in levels],
-                            [P[k + 1][k] * P[k][k + 1] for k in levels]))
+    jp = [P[k][k] for k in levels], [P[k + 1][k] * P[k][k + 1] for k in levels]
+    return [read(m) for m in motzkin_walk(n, jp)]
 
 
 def vacuum_moment(n: int, s=S, t=T) -> MultiPoly:
-    """(0,0) entry of the operator's n-th power: moments.ENGINE_TABLES["operator"] row n."""
-    from .moments import ENGINE_TABLES  # moments imports this module
-    return ENGINE_TABLES["operator"](n, s, t)[n]
+    """(0,0) entry of the operator's n-th power: row n of vacuum_moments."""
+    return vacuum_moments(n, s, t)[n]
 
 
 def check_relations(N: int):

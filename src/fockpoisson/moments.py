@@ -26,10 +26,10 @@ table's last entry.  Every table function raises ValueError("n must be >=
 row n - j off the members of NC(n) whose last j points are singletons at
 depth 0, with j blocks fewer.
 
-For s = S and t one of T, ONE, ZERO, the jacobi, operator and blockwise
-tables walk with s = 2**(2n) substituted, over MultiPoly in l and t alone,
-and read the s exponents back as base-2**(2n) digits
-(MultiPoly.s_from_digits); moment_jacobi does so for its one row, and
+For s = S and t one of T, ONE, ZERO, jacobi_moments, fock.vacuum_moments
+and blockwise_moments each walk with s = 2**(2n) from _s_digits, over
+MultiPoly in l and t alone, and read the s exponents back as base-2**(2n)
+digits (MultiPoly.s_from_digits); moment_jacobi does so for its one row, and
 moment_blockwise and fock.vacuum_moment are their tables' last rows.  The
 combinatorial formula makes this exact for all three: m_k is the sum over
 NC(k) of l^blocks * s^td1 * t^td2, so every coefficient of m_k is a
@@ -214,38 +214,33 @@ def motzkin_walk(n: int, jp) -> list:
     return table
 
 
-def jacobi_moments(n: int, s=S, t=T) -> list:
-    """[m_0, ..., m_n] from the motzkin_walk over jacobi(n // 2 + 1)."""
+def _s_digits(n: int, s, t):
+    """(s_walk, read): the s that a table function walks with for rows up to
+    n >= 0, and the map that reads m_k at (s, t) off row k of that walk.  For
+    n > 0, s = S and t one of T, ONE, ZERO, s_walk is 2**(2n) and read is
+    s_from_digits(2n) (see the module docstring); otherwise s_walk is s and
+    read is the identity.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return motzkin_walk(n, jacobi(n // 2 + 1, LAM, s, t))
-
-
-def _s_digits(n: int, s, t):
-    """(s_walk, read): the s to walk with for rows up to n, and the map that
-    reads m_k at (s, t) off row k of that walk.  For n > 0, s = S and t one
-    of T, ONE, ZERO, s_walk is 2**(2n) and read is s_from_digits(2n) (see
-    the module docstring); otherwise s_walk is s and read is the identity.
-    """
     if n > 0 and s == S and t in (T, ONE, ZERO):
         width = 2 * n
         return 1 << width, lambda p: p.s_from_digits(width)
     return s, lambda p: p
 
 
-def _substituted(table):
-    """table (n, s, t) walked at _s_digits' s and read back row by row."""
-    def run(n, s, t):
-        s_walk, read = _s_digits(n, s, t)
-        return [read(m) for m in table(n, s_walk, t)]
-    return run
+def jacobi_moments(n: int, s=S, t=T) -> list:
+    """[m_0, ..., m_n] from the motzkin_walk over jacobi(n // 2 + 1), walked
+    at _s_digits' s and read back row by row."""
+    s_walk, read = _s_digits(n, s, t)
+    return [read(m) for m in motzkin_walk(n, jacobi(n // 2 + 1, LAM, s_walk, t))]
 
 
 def moment_jacobi(n: int, s=S, t=T) -> MultiPoly:
     """Vacuum moment as the (0,0) entry of the n-th monic Jacobi matrix
     power, walked as in the jacobi table; only row n is read back."""
     s_walk, read = _s_digits(n, s, t)
-    return read(jacobi_moments(n, s_walk, t)[n])
+    return read(motzkin_walk(n, jacobi(n // 2 + 1, LAM, s_walk, t))[n])
 
 
 def weight(p: NCPartition, st=None) -> MultiPoly:
@@ -294,16 +289,15 @@ def moment_nc(n: int, s=S, t=T) -> MultiPoly:
 
 def blockwise_moments(n: int, s=S, t=T) -> list:
     """[m_0, ..., m_n] as sums of per-block products, from one first-block
-    recursion: a block of size k at depth d weighs l * s^d * t^((k-2)*d)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    ms = block_sums(n, lambda k, d: LAM * s**d * t ** (max(k - 2, 0) * d))
-    return [ONE, *ms[1:]]
+    recursion at _s_digits' s: a block of size k at depth d weighs l * s^d * t^((k-2)*d)."""
+    s_walk, read = _s_digits(n, s, t)
+    ms = block_sums(n, lambda k, d: LAM * s_walk**d * t ** (max(k - 2, 0) * d))
+    return [ONE, *map(read, ms[1:])]
 
 
 def moment_blockwise(n: int, s=S, t=T) -> MultiPoly:
     """Vacuum moment as the sum of per-block products, the blockwise table's last row."""
-    return ENGINE_TABLES["blockwise"](n, s, t)[n]
+    return blockwise_moments(n, s, t)[n]
 
 
 # -- moment tables and the functional ----------------------------------------
@@ -328,14 +322,14 @@ class MomentTable(namedtuple("MomentTable", "n_max m")):
 
 
 # The one map from engine name to table function (n, s, t) -> [m_0, ..., m_n],
-# one recursion or walk per table, each but nc walked at s = 2**(2n) where
-# _s_digits allows it.  Each entry looks its function up at call time, so a
+# one recursion or walk per table; each but nc walks at s = 2**(2n) itself
+# where _s_digits allows it.  Each entry looks its function up at call time, so a
 # wrapper bound to the module attribute (tracing, tests) sees every call.
 ENGINE_TABLES = {
     "nc": lambda n, s, t: nc_moments(n, s, t),
-    "blockwise": _substituted(lambda n, s, t: blockwise_moments(n, s, t)),
-    "jacobi": _substituted(lambda n, s, t: jacobi_moments(n, s, t)),
-    "operator": _substituted(lambda n, s, t: fock.vacuum_moments(n, s, t)),
+    "blockwise": lambda n, s, t: blockwise_moments(n, s, t),
+    "jacobi": lambda n, s, t: jacobi_moments(n, s, t),
+    "operator": lambda n, s, t: fock.vacuum_moments(n, s, t),
 }
 
 

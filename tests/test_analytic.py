@@ -64,6 +64,14 @@ def test_non_finite_lambda_is_refused(lam):
         cauchy_cfree_closed(1j, lam)
 
 
+# a power past the float range, and a denominator that underflows to zero
+@pytest.mark.parametrize("z, lam", [(2 + 1j, 1e200), (complex(1e300, 1.0), 1.0), (1e-300j, 1e-300)],
+                         ids=["lam-squared", "z-squared", "denominator-zero"])
+def test_closed_form_outside_the_float_range_is_a_domain_error(z, lam):
+    with pytest.raises(DomainError, match="leaves the float range"):
+        cauchy_cfree_closed(z, lam)
+
+
 def test_jacobi_floats_limits():
     alphas, omegas = jacobi_floats(1.0, 1.0, 0.0, 5)
     assert alphas == [1.0, 2.0, 1.0, 1.0, 1.0]  # l, l+1, then l (t^k -> 0)

@@ -692,6 +692,32 @@ def test_cauchy_refuses_values_beyond_the_float_range(capsys, flag):
     assert_usage_error(result, "cauchy", f"argument {flag}: must lie within the float range")
 
 
+# the closed form past the float range (lambda^2, z^2, a denominator that
+# underflows to zero), a continued fraction that divides by a subnormal, and
+# a closed form whose products overflow to nan without raising
+CAUCHY_POINT_ERRORS = [
+    (("--lam", "1e200", "--s-one", "--t-zero", "--closed"),
+     "the closed form leaves the float range at z = (-2+0.5j)"),
+    (("--re=1e300:1e300:1", "--im=1:1:1", "--s-one", "--t-zero", "--closed"),
+     "the closed form leaves the float range at z = (1e+300+1j)"),
+    (("--lam", "1e-300", "--re=0:0:1", "--im=1e-300:1e-300:1", "--s-one", "--t-zero",
+      "--closed"), "the closed form leaves the float range at z = 1e-300j"),
+    (("--re=1:1:1", "--im=5e-324:5e-324:1", "--depth", "1"),
+     "a value is not finite at z = (1+5e-324j)"),
+    (("--re=1:1:1", "--im=5e-324:5e-324:1", "--depth", "1", "--format", "json"),
+     "a value is not finite at z = (1+5e-324j)"),
+    (("--re=1e308:1e308:1", "--im=1e308:1e308:1", "--s-one", "--t-zero", "--closed"),
+     "a value is not finite at z = (1e+308+1e+308j)"),
+]
+
+
+@pytest.mark.parametrize("argv, message", CAUCHY_POINT_ERRORS,
+                         ids=["lam-overflow", "z-overflow", "denominator-zero", "g-infinite-csv",
+                              "g-infinite-json", "closed-nan"])
+def test_cauchy_point_outside_the_float_range_is_a_usage_error(capsys, argv, message):
+    assert_usage_error(run(capsys, "cauchy", *argv), "cauchy", message)
+
+
 def test_cauchy_zero_values_equal_limit_flags(capsys):
     grid = ("--re=-1:1:3", "--im=0.5:1.5:3")
     values = run(capsys, "cauchy", "--lam", "1", "--s", "0", "--t", "0", *grid)

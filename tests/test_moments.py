@@ -30,6 +30,7 @@ from fockpoisson.partitions import (
     Family,
     NCPartition,
     block_depths,
+    block_sums,
     count_by_blocks,
     enumerate_nc,
     nc_weight_counts,
@@ -280,18 +281,20 @@ def test_no_engine_specializes_after_computing(monkeypatch):
 
 
 def test_vacuum_moment_walks_at_the_substituted_s(monkeypatch):
-    seen, walk = [], fock.vacuum_moments
+    seen, build = [], fock.poisson_matrix
 
-    def record(n, s, t):
+    def record(N, s, t):
         seen.append(s)
-        return walk(n, s, t)
+        return build(N, s, t)
 
-    monkeypatch.setattr(fock, "vacuum_moments", record)
+    monkeypatch.setattr(fock, "poisson_matrix", record)
     for n in (1, 6, 9):
         for t in (T, ONE, ZERO):
-            seen.clear()
-            assert fock.vacuum_moment(n, S, t) == moment_jacobi(n, S, t)
-            assert seen == [2 ** (2 * n)] and type(seen[0]) is int, (n, t)
+            for row in (lambda: fock.vacuum_moment(n, S, t),
+                        lambda: fock.vacuum_moments(n, S, t)[n]):
+                seen.clear()
+                assert row() == moment_jacobi(n, S, t)
+                assert seen == [2 ** (2 * n)] and type(seen[0]) is int, (n, t)
         seen.clear()
         assert fock.vacuum_moment(n, ONE, T) == moment_jacobi(n, ONE, T)
         assert seen == [ONE], n
@@ -325,39 +328,54 @@ def test_every_engine_table_keeps_the_contract(engine):
         table(-1, S, T)
 
 
-# the walk behind each table that runs at s = 2**(2n): the module attribute
-# the table calls, and the same walk called directly
-PLAIN_WALKS = {
-    "jacobi": ((moments, "jacobi_moments"), jacobi_moments),
-    "operator": ((fock, "vacuum_moments"), fock.vacuum_moments),
-    "blockwise": ((moments, "blockwise_moments"), blockwise_moments),
+def _walk_at_s(n, s, t, engine):
+    """[m_0, ..., m_n] of one engine walked at s, built straight from the
+    primitives, with no digits read back."""
+    if engine == "blockwise":
+        return [ONE, *block_sums(n, lambda k, d: LAM * s**d * t ** (max(k - 2, 0) * d))[1:]]
+    if engine == "jacobi":
+        return motzkin_walk(n, jacobi(n // 2 + 1, LAM, s, t))
+    P = fock.poisson_matrix(n // 2 + 1, s, t).entries
+    levels = range(n // 2 + 1)
+    return motzkin_walk(n, ([P[k][k] for k in levels],
+                            [P[k + 1][k] * P[k][k + 1] for k in levels]))
+
+
+# each table that walks at s = 2**(2n): its public function, the primitive
+# that its s reaches, and l * s read off a call of that primitive (a block of
+# size 2 at depth 1 weighs l * s)
+S_PROBES = {
+    "jacobi": (jacobi_moments, moments, "jacobi", lambda kmax, lam, s, t: lam * s),
+    "operator": (fock.vacuum_moments, fock, "poisson_matrix", lambda N, s, t: LAM * s),
+    "blockwise": (blockwise_moments, moments, "block_sums", lambda n, weight: weight(2, 1)),
 }
 
 
-@pytest.mark.parametrize("engine", list(PLAIN_WALKS))
+@pytest.mark.parametrize("engine", list(S_PROBES))
 def test_substituted_tables_equal_their_plain_walks(engine):
-    table, (_, plain) = moments.ENGINE_TABLES[engine], PLAIN_WALKS[engine]
+    table = S_PROBES[engine][0]
     for t in (T, ONE, ZERO):
         for n in range(17):
-            assert table(n, S, t) == plain(n, S, t), (n, t)
+            assert table(n, S, t) == _walk_at_s(n, S, t, engine), (n, t)
 
 
-@pytest.mark.parametrize("engine", list(PLAIN_WALKS))
+@pytest.mark.parametrize("engine", list(S_PROBES))
 def test_tables_substitute_s_only_where_digits_read_back(monkeypatch, engine):
-    (module, name), _ = PLAIN_WALKS[engine]
-    seen = []
+    table, module, name, probe = S_PROBES[engine]
+    seen, primitive = [], getattr(module, name)
 
-    def walk(n, *args):
-        seen.append(args[-2:])  # every walk takes (s, t) last
-        return [MultiPoly.const(k) for k in range(n + 1)]
+    def record(*args):
+        seen.append(probe(*args))
+        return primitive(*args)
 
-    monkeypatch.setattr(module, name, walk)
-    table = moments.ENGINE_TABLES[engine]
-    passed = [(ONE, T), (ZERO, T), (Fraction(1, 2), Fraction(1, 3)), (S, Fraction(1, 3))]
+    monkeypatch.setattr(module, name, record)
+    assert table(5) == nc_moments(5)  # the default (S, T)
+    passed = [(ONE, T), (ZERO, T), (S + ONE, T), (S, T + ONE)]
     for s, t in [(S, T), (S, ONE), (S, ZERO), *passed]:
-        assert table(5, s, t) == [MultiPoly.const(k) for k in range(6)]
-    assert seen == [(1 << 10, T), (1 << 10, ONE), (1 << 10, ZERO), *passed]
-    assert all(type(s) is int for s, _ in seen[:3])
+        assert table(5, s, t) == nc_moments(5, s, t), (s, t)
+        assert moments.ENGINE_TABLES[engine](5, s, t) == nc_moments(5, s, t), (s, t)
+    expected = [LAM * (1 << 10)] * 3 + [LAM * s for s, _ in passed]
+    assert seen == [LAM * (1 << 10), *(x for x in expected for _ in range(2))]
 
 
 # nc's 12-row tables are compared with blockwise's above, and
