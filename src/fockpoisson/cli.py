@@ -149,10 +149,6 @@ def _partition_word(text: str) -> words.OperatorWord:
     return words.OperatorWord.from_partition(p)
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _limit_exit(name: str, limit: int, n: int, force: bool) -> int:
     """0 if the engine name may compute up to size n; else report its limit
     and return the exit code 3."""
@@ -479,20 +475,22 @@ def _cmd_cauchy(args) -> int:
     if args.closed and not (args.s == 1.0 and args.t == 0.0):
         args.error("--closed requires s = 1 and t -> 0 (--s-one --t-zero)")
 
-    # lam, s, t and depth are fixed for the command, so the coefficients are
-    # built once; each point is what analytic.cauchy_cf(z, ...) returns.  A
-    # value past the float range refuses its point before anything prints.
+    # lam, s, t and depth are fixed for the command, so the coefficients and
+    # the start of their repeated tail are found once; each point is what
+    # analytic.cauchy_cf(z, ...) returns.  A value past the float range
+    # refuses its point before anything prints.
     rows = []
     try:
         alphas, omegas = analytic.jacobi_floats(args.lam, args.s, args.t, args.depth)
+        start = analytic.run_start(alphas, omegas)
         for im in args.im:
             for re in args.re:
                 z = complex(re, im)
-                g = analytic.continued_fraction(z, alphas, omegas)
-                row = [re, im, g.real, g.imag]
+                g = analytic.continued_fraction(z, alphas, omegas, start)
+                row = (re, im, g.real, g.imag)
                 if args.closed:
                     gc = analytic.cauchy_cfree_closed(z, args.lam)
-                    row += [gc.real, gc.imag, abs(g - gc)]
+                    row += (gc.real, gc.imag, abs(g - gc))
                 if not all(map(math.isfinite, row)):
                     raise analytic.DomainError(f"a value is not finite at z = {z}")
                 rows.append(row)
@@ -505,9 +503,8 @@ def _cmd_cauchy(args) -> int:
     if args.format == "json":
         print(json.dumps([dict(zip(header, row)) for row in rows]))
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt_float(v) for v in row))
+        template = ",".join(["%.17g"] * len(header))
+        print("\n".join([",".join(header)] + [template % row for row in rows]))
     return 0
 
 

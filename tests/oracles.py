@@ -4,9 +4,10 @@ Everything here deliberately avoids the library's code paths: set partitions
 come from restricted-growth strings rather than the gap recursion, depths are
 per-element cover counts rather than interval containment, words are checked
 and enumerated by their own level bookkeeping, and series coefficients are
-extracted by discrete contour averages.  The residuals and the identity
-matrix are plain formulas that only the tests need, and polynomial text is
-rendered from exponent tuples sorted with a key function.
+extracted by discrete contour averages.  The residuals, the identity matrix
+and the continued fraction walked to its full depth are plain formulas that
+only the tests need, and polynomial text is rendered from exponent tuples
+sorted with a key function.
 """
 
 import cmath
@@ -209,6 +210,15 @@ def h_residual(z, lam, h):
     """|h - (z - lam - lam/h)|, the reference's reciprocal Cauchy transform
     equation; h = 0 raises ZeroDivisionError."""
     return abs(h - (z - lam - lam / h))
+
+
+def continued_fraction_plain(z, alphas, omegas):
+    """1 / (z - a_1 - w_1 / (... (z - a_depth))), every level walked
+    bottom-up, with no exit from a repeated tail."""
+    acc = z - alphas[-1]
+    for a, w in zip(reversed(alphas[:-1]), reversed(omegas)):
+        acc = z - a - w / acc
+    return 1 / acc
 
 
 def identity_rows(dim, one, zero):

@@ -9,6 +9,7 @@ from fockpoisson.analytic import (
     cauchy_cfree_closed,
     continued_fraction,
     jacobi_floats,
+    run_start,
 )
 from fockpoisson.moments import jacobi, moment_table
 
@@ -64,9 +65,11 @@ def test_non_finite_lambda_is_refused(lam):
         cauchy_cfree_closed(1j, lam)
 
 
-# a power past the float range, and a denominator that underflows to zero
-@pytest.mark.parametrize("z, lam", [(2 + 1j, 1e200), (complex(1e300, 1.0), 1.0), (1e-300j, 1e-300)],
-                         ids=["lam-squared", "z-squared", "denominator-zero"])
+# a power past the float range, a denominator that underflows to zero, and
+# products that overflow to nan without raising
+@pytest.mark.parametrize("z, lam", [(2 + 1j, 1e200), (complex(1e300, 1.0), 1.0), (1e-300j, 1e-300),
+                                    (complex(1e308, 1e308), 1.0)],
+                         ids=["lam-squared", "z-squared", "denominator-zero", "products-nan"])
 def test_closed_form_outside_the_float_range_is_a_domain_error(z, lam):
     with pytest.raises(DomainError, match="leaves the float range"):
         cauchy_cfree_closed(z, lam)
@@ -79,6 +82,17 @@ def test_jacobi_floats_limits():
     alphas, omegas = jacobi_floats(2.0, 0.0, 0.0, 4)
     assert alphas == [2.0, 1.0, 0.0, 0.0]  # boolean: l, then t^0 = 1, then nothing
     assert omegas == [2.0, 0.0, 0.0]  # omega_1 = l * s^0 survives s -> 0
+
+
+# boolean and c-free repeat (alpha, omega) from level 2, free Poisson from
+# level 1; s = 7/8 and s = -0.0 (whose omegas alternate -0.0 and 0.0) leave
+# the bottom level alone in its run at depth 200
+@pytest.mark.parametrize("s, t, start", [(0.0, 0.0, 2), (1.0, 0.0, 2), (1.0, 1.0, 1),
+                                         (0.875, 0.5, 198), (-0.0, 0.0, 198)],
+                         ids=["boolean", "cfree", "free", "generic", "s-negative-zero"])
+def test_run_start(s, t, start):
+    alphas, omegas = jacobi_floats(1.5, s, t, 200)
+    assert run_start(alphas, omegas) == start
 
 
 def test_jacobi_floats_match_the_exact_coefficients():

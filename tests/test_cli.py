@@ -13,6 +13,8 @@ from fockpoisson import analytic
 from fockpoisson.cli import main
 from fockpoisson.moments import cfree_moments
 
+from oracles import continued_fraction_plain
+
 MOMENTS_CFREE_PLAIN = """\
 m_1 = l
 m_2 = l^2 + l
@@ -651,6 +653,27 @@ def test_cauchy_values_equal_cauchy_cf(capsys, params, lam, s, t):
                 assert row["abs_diff"] == abs(g - gc)
 
 
+# the CLI exits each point's repeated tail at its fixed point; every printed
+# value must be the plain loop's to the last bit, whose %.17g text it is
+@pytest.mark.parametrize("params, lam, s, t", CAUCHY_SHAPES,
+                         ids=["generic", "cfree-closed", "boolean"])
+def test_cauchy_deep_fraction_equals_the_plain_loop(capsys, params, lam, s, t):
+    code, out, _ = run(capsys, "cauchy", *params, "--depth", "5000",
+                       "--re=-2.25:4.75:8", "--im=0.07:3.07:8")
+    assert code == 0
+    lines = out.splitlines()[1:]
+    alphas, omegas = analytic.jacobi_floats(lam, s, t, 5000)
+    assert len(lines) == 64
+    for line in lines:
+        z = complex(*map(float, line.split(",")[:2]))
+        g = continued_fraction_plain(z, alphas, omegas)
+        want = [z.real, z.imag, g.real, g.imag]
+        if "--closed" in params:
+            gc = analytic.cauchy_cfree_closed(z, lam)
+            want += [gc.real, gc.imag, abs(g - gc)]
+        assert line == ",".join(f"{v:.17g}" for v in want)
+
+
 def test_cauchy_builds_the_coefficients_once(capsys, monkeypatch):
     calls = []
     build = analytic.jacobi_floats
@@ -693,8 +716,8 @@ def test_cauchy_refuses_values_beyond_the_float_range(capsys, flag):
 
 
 # the closed form past the float range (lambda^2, z^2, a denominator that
-# underflows to zero), a continued fraction that divides by a subnormal, and
-# a closed form whose products overflow to nan without raising
+# underflows to zero, products that overflow to nan) and a continued
+# fraction that divides by a subnormal
 CAUCHY_POINT_ERRORS = [
     (("--lam", "1e200", "--s-one", "--t-zero", "--closed"),
      "the closed form leaves the float range at z = (-2+0.5j)"),
@@ -707,7 +730,7 @@ CAUCHY_POINT_ERRORS = [
     (("--re=1:1:1", "--im=5e-324:5e-324:1", "--depth", "1", "--format", "json"),
      "a value is not finite at z = (1+5e-324j)"),
     (("--re=1e308:1e308:1", "--im=1e308:1e308:1", "--s-one", "--t-zero", "--closed"),
-     "a value is not finite at z = (1e+308+1e+308j)"),
+     "the closed form leaves the float range at z = (1e+308+1e+308j)"),
 ]
 
 
