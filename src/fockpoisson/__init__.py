@@ -43,7 +43,6 @@ from .moments import (
     DegreeOutOfRangeError,
     JacobiParams,
     LimitCase,
-    MomentTable,
     XPoly,
     blockwise_moments,
     cfree_moments,
@@ -88,7 +87,6 @@ __all__ = [
     "DegreeOutOfRangeError",
     "JacobiParams",
     "LimitCase",
-    "MomentTable",
     "XPoly",
     "blockwise_moments",
     "cfree_moments",

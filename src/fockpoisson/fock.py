@@ -156,6 +156,7 @@ def check_relations(N: int):
     if N < 2:
         raise ValueError("N must be >= 2")
     creation, annihilation, scalar, intermediate = build_generators(N)
+    ann_cre = annihilation @ creation
 
     below_top = range(0, N)  # products through creation are exact here
     below_top_pos = range(1, N)
@@ -163,10 +164,10 @@ def check_relations(N: int):
     pos_cols = range(1, N + 1)
 
     checks = [
-        ("ann*cre = scalar", annihilation @ creation, scalar, below_top),
+        ("ann*cre = scalar", ann_cre, scalar, below_top),
         (
             "ann*cre = s*(cre*ann)",
-            annihilation @ creation,
+            ann_cre,
             (creation @ annihilation).scale(S),
             below_top_pos,
         ),

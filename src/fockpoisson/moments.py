@@ -127,6 +127,8 @@ class XPoly:
         return XPoly(out)
 
     def __sub__(self, other):
+        if not isinstance(other, XPoly):
+            return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         pad = lambda cs: list(cs) + [ZERO] * (n - len(cs))
         return XPoly([a - b for a, b in zip(pad(self.coeffs), pad(other.coeffs))])
@@ -303,24 +305,6 @@ def moment_blockwise(n: int, s=S, t=T) -> MultiPoly:
 # -- moment tables and the functional ----------------------------------------
 
 
-class MomentTable(namedtuple("MomentTable", "n_max m")):
-    """Moments m[0..n_max] as exact polynomials, m[0] = 1."""
-
-    __slots__ = ()
-
-    def __new__(cls, n_max, m):
-        if len(m) != n_max + 1:
-            raise ValueError("table length must be n_max + 1")
-        if m[0] != ONE:
-            raise ValueError("m[0] must be 1")
-        return super().__new__(cls, n_max, m)
-
-    @classmethod
-    def _make(cls, iterable):
-        """As namedtuple's _make (and so _replace), but through the checks."""
-        return cls(*iterable)
-
-
 # The one map from engine name to table function (n, s, t) -> [m_0, ..., m_n],
 # one recursion or walk per table; each but nc walks at s = 2**(2n) itself
 # where _s_digits allows it.  Each entry looks its function up at call time, so a
@@ -333,25 +317,25 @@ ENGINE_TABLES = {
 }
 
 
-def moment_table(n_max: int, engine: str = "jacobi") -> MomentTable:
-    """Moments 0..n_max via one engine."""
+def moment_table(n_max: int, engine: str = "jacobi") -> list:
+    """[m_0, ..., m_n_max] via one engine: its ENGINE_TABLES function at S, T."""
     try:
         table = ENGINE_TABLES[engine]
     except KeyError:
         raise ValueError(f"unknown engine {engine!r}") from None
-    return MomentTable(n_max=n_max, m=tuple(table(n_max, S, T)))
+    return table(n_max, S, T)
 
 
-def moment_functional(p: XPoly, table: MomentTable) -> MultiPoly:
-    """The linear functional sending x^n to m_n, applied coefficient-wise."""
-    if p.degree > table.n_max:
+def moment_functional(p: XPoly, ms) -> MultiPoly:
+    """The linear functional sending x^n to ms[n], applied coefficient-wise."""
+    if p.degree >= len(ms):
         raise DegreeOutOfRangeError(
-            f"degree {p.degree} exceeds the table degree {table.n_max}"
+            f"degree {p.degree} exceeds the table degree {len(ms) - 1}"
         )
     acc = ZERO
-    for k, c in enumerate(p.coeffs):
+    for c, m in zip(p.coeffs, ms):
         if c:
-            acc = acc + c * table.m[k]
+            acc = acc + c * m
     return acc
 
 
@@ -366,16 +350,17 @@ class LimitCase(Enum):
     CFREE = (ONE, ZERO)
 
 
-def limit_case(nmax: int, case: LimitCase) -> MomentTable:
-    """Moment table in one of the three classical limits, from the first-block
+def limit_case(nmax: int, case: LimitCase) -> list:
+    """[m_0, ..., m_nmax] in one of the three classical limits, from the first-block
     recursion with the limit's (s, t) substituted.  A block weighs l or
     nothing, so m_n counts a partition family by blocks (all non-crossing,
     interval, inner blocks of size <= 2); the tests check it against
     partitions.count_by_blocks."""
-    return MomentTable(n_max=nmax, m=tuple(blockwise_moments(nmax, *case.value)))
+    return blockwise_moments(nmax, *case.value)
 
 
-def cfree_moments(nmax: int) -> MomentTable:
-    """The s = 1, t -> 0 table: m_n = sum over k of l^k times the number of
-    non-crossing partitions with k blocks, every inner block of size <= 2."""
+def cfree_moments(nmax: int) -> list:
+    """The s = 1, t -> 0 table [m_0, ..., m_nmax]: m_n = sum over k of l^k
+    times the number of non-crossing partitions with k blocks, every inner
+    block of size <= 2."""
     return limit_case(nmax, LimitCase.CFREE)

@@ -38,7 +38,7 @@ def row_poly(coeffs_ascending):
 def test_criterion_01_triple_engine_identity():
     start = time.monotonic()
     nc, blockwise, jacobi, operator = (
-        moments.moment_table(10, e).m for e in ("nc", "blockwise", "jacobi", "operator"))
+        moments.moment_table(10, e) for e in ("nc", "blockwise", "jacobi", "operator"))
     for n in range(0, 11):
         reference = nc[n]
         assert blockwise[n] == reference
@@ -62,8 +62,8 @@ def test_criterion_02_moment_table_rows():
     }
     table = moments.cfree_moments(7)
     for n in range(1, 8):
-        assert table.m[n] == expected[n]
-    assert str(table.m[7]) == (
+        assert table[n] == expected[n]
+    assert str(table[7]) == (
         "l^7 + 21*l^6 + 105*l^5 + 154*l^4 + 77*l^3 + 15*l^2 + l"
     )
     print("\nACCEPTANCE 2 PASS: conditionally free moment rows m_1..m_7 exact")
@@ -72,7 +72,7 @@ def test_criterion_02_moment_table_rows():
 def test_criterion_03_lambda_one_sequence():
     start = time.monotonic()
     table = moments.cfree_moments(10)
-    values = [table.m[n].eval(1, 1, 1) for n in range(1, 11)]
+    values = [table[n].eval(1, 1, 1) for n in range(1, 11)]
     assert values == [1, 2, 5, 14, 41, 123, 374, 1147, 3538, 10958]
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
@@ -96,14 +96,14 @@ def test_criterion_04_worked_examples():
 def test_criterion_05_free_and_boolean_limits():
     free = moments.limit_case(6, LimitCase.FREE)
     for n in range(1, 7):
-        assert free.m[n].eval(1, 1, 1) == len(nc_bruteforce(n))
-    assert [free.m[n].eval(1, 1, 1) for n in range(1, 7)] == [1, 2, 5, 14, 42, 132]
+        assert free[n].eval(1, 1, 1) == len(nc_bruteforce(n))
+    assert [free[n].eval(1, 1, 1) for n in range(1, 7)] == [1, 2, 5, 14, 42, 132]
 
     boolean = moments.limit_case(6, LimitCase.BOOLEAN)
     for n in range(1, 7):
         count = interval_count_bruteforce(n)
         assert count == 2 ** (n - 1)
-        assert boolean.m[n].eval(1, 1, 1) == count
+        assert boolean[n].eval(1, 1, 1) == count
     print("\nACCEPTANCE 5 PASS: free limit gives Catalan numbers, boolean "
           "limit gives powers of two")
 
@@ -178,7 +178,7 @@ def test_criterion_10_hankel_positivity():
         lam = Fraction(rng.randint(1, 64), 16)   # (0, 4]
         s = Fraction(rng.randint(1, 16), 16)     # (0, 1]
         t = Fraction(rng.randint(1, 16), 16)
-        ms = [table.m[k].eval(lam, s, t) for k in range(9)]
+        ms = [table[k].eval(lam, s, t) for k in range(9)]
         hankel = [[ms[i + j] for j in range(5)] for i in range(5)]
         assert det_fraction(hankel) > 0
     print("\nACCEPTANCE 10 PASS: Hankel determinants positive at 50 exact "

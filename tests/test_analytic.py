@@ -210,5 +210,5 @@ def test_moment_consistency_with_exact_engine():
         got = laurent_moments(lambda z: cauchy_cf(z, lam, s, t, 200), 12.0, 8)
         flam, fs, ft = (Fraction(x) for x in (lam, s, t))
         for n in range(9):
-            expected = float(table.m[n].eval(flam, fs, ft))
+            expected = float(table[n].eval(flam, fs, ft))
             assert abs(got[n] - expected) <= 1e-4 * max(1.0, abs(expected))

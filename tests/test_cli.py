@@ -212,7 +212,7 @@ def test_sequence_beyond_enumeration_cap(capsys):
     code, out, _ = run(capsys, "sequence", "--nmax", "25")
     assert code == 0
     table = cfree_moments(25)
-    expected = [table.m[n].eval(1, 1, 1) for n in range(1, 26)]
+    expected = [table[n].eval(1, 1, 1) for n in range(1, 26)]
     assert [int(v) for v in out.split()] == expected
 
 

@@ -236,7 +236,7 @@ def test_count_by_blocks_ties_to_moment_at_one():
 
     table = cfree_moments(8)
     for n in range(1, 9):
-        assert sum(count_by_blocks(n, Family.NC12_INNER)) == table.m[n].eval(1, 1, 1)
+        assert sum(count_by_blocks(n, Family.NC12_INNER)) == table[n].eval(1, 1, 1)
 
 
 def test_count_by_blocks_matches_enumeration():
@@ -289,8 +289,8 @@ def test_counting_never_enumerates(monkeypatch, capsys):
     assert moments.moment_blockwise(10) == moments.moment_jacobi(10)
     for family in Family:
         assert sum(count_by_blocks(10, family)) > 0
-    assert moments.cfree_moments(10).m[10].eval(1, 1, 1) == 10958
-    assert [moments.limit_case(8, case).m[8].eval(1, 1, 1) for case in LimitCase] == [
+    assert moments.cfree_moments(10)[10].eval(1, 1, 1) == 10958
+    assert [moments.limit_case(8, case)[8].eval(1, 1, 1) for case in LimitCase] == [
         1430, 128, 1147]  # FREE, BOOLEAN, CFREE
     assert cli.main(["partitions", "--n", "12"]) == 0
     assert capsys.readouterr().out == "208012\n"

@@ -1,12 +1,12 @@
-"""The four immutable record types: PartitionStats, JacobiParams, MomentTable
-and Card.  Each is a namedtuple subclass with no instance dict; these tests
+"""The three immutable record types: PartitionStats, JacobiParams and
+Card.  Each is a namedtuple subclass with no instance dict; these tests
 pin how they construct, compare, hash, print and refuse assignment."""
 
 import pickle
 
 import pytest
 
-from fockpoisson.moments import JacobiParams, MomentTable, jacobi, moment_table
+from fockpoisson.moments import JacobiParams, jacobi, moment_table
 from fockpoisson.partitions import NCPartition, PartitionStats, stats
 from fockpoisson.poly import LAM, ONE, S
 from fockpoisson.words import Card
@@ -16,8 +16,6 @@ RECORDS = [
      "PartitionStats(block_depths=(0, 1), td1=1, td2=0)"),
     (JacobiParams, {"alpha": (1, 2), "omega": (1, 1)},
      "JacobiParams(alpha=(1, 2), omega=(1, 1))"),
-    (MomentTable, {"n_max": 1, "m": (ONE, LAM)},
-     "MomentTable(n_max=1, m=(MultiPoly(1), MultiPoly(l)))"),
     (Card, {"kind": "A", "level": 2},
      "Card(kind='A', level=2)"),
 ]
@@ -59,12 +57,3 @@ def test_records_from_the_library():
     jp = jacobi(2)
     assert jp.alpha == (LAM, LAM * S + ONE) and jp.omega == (LAM, LAM * S)
     assert Card("K", 1).label() == "K1"
-
-
-def test_moment_table_copies_keep_the_checks():
-    table = MomentTable(n_max=1, m=(ONE, LAM))
-    assert table._replace(m=(ONE, S)) == MomentTable(1, (ONE, S))
-    with pytest.raises(ValueError, match="table length"):
-        table._replace(n_max=2)
-    with pytest.raises(ValueError, match=r"m\[0\] must be 1"):
-        MomentTable._make((1, (LAM, LAM)))
