@@ -9,8 +9,15 @@ Options match by full name only.  Only moments --engine nc|all and partitions
 a CLI rule, checked before any work and lifted for one run by --force: each
 engine has a largest n in ENGINE_NMAX_LIMITS (nc 12, blockwise 28, jacobi 36,
 operator 40), moments --nmax past the limit of any chosen engine is refused,
-and so is partitions --list --n past the nc limit, and partitions --n past
-COUNT_N_LIMIT (57) for the counts.
+and so is partitions --list --n past the nc limit, partitions --n past
+COUNT_N_LIMIT (57) for the counts, fock --n past FOCK_N_LIMIT (600), and a
+cauchy --depth, number of grid points or depth times grid points past its
+limit in CAUCHY_LIMITS.
+
+Listings and tables stream row by row: partitions --list writes each member
+as it is enumerated, and moments each row as it renders it, its JSON in
+json.dumps(indent=2)'s layout written directly.  The tables, their --at
+values and the engines' agreement are computed before the first byte.
 
 Input is refused only through argparse: an argument's own rule is its type
 in build_parser, and a rule between two arguments, or an
@@ -55,7 +62,7 @@ _ENGINE_TABLES = {
 # Largest n that each engine computes without --force: moments --nmax, and
 # for nc also partitions --list --n, which lists the same NC(n) and keeps
 # the limit 12 although the nc table is cheaper.  At its limit a run took
-# 0.7 s (nc; 3.4 s for partitions --list, 7 s with --stats), 8 s
+# 0.7 s (nc; 1.8 to 2.4 s for partitions --list, 3.8 to 4 s with --stats), 8 s
 # (blockwise, 58 MB RSS), 5.9 to 6.1 s (jacobi, 213 MB) and 6.7 to 9.5 s
 # (operator, 414 MB) on a 2-vCPU VM with Python 3.11, three runs each, and
 # the cost grows by about a fifth (jacobi, operator), three quarters
@@ -69,7 +76,26 @@ ENGINE_NMAX_LIMITS = {"nc": 12, "blockwise": 28, "jacobi": 36, "operator": 40}
 # the other families at most 1.2 s at 57, on a 2-vCPU VM with Python 3.11.
 COUNT_N_LIMIT = 57
 
+# Largest --depth, number of grid points and depth times grid points (the
+# keys, as a refusal names them) that cauchy evaluates without --force.  A
+# generic (s, t), here s = t = 0.9999, walks every level of every point,
+# about 0.11 us each, and a point costs about 4 us and 370 bytes more:
+# depth 1,000,000 took 0.8 s at 115 MB on one point (about 100 bytes a
+# level) and 7.3 s on 50; depth 5,000 on 10,000 points 5.9 s at 20 MB; depth
+# 80 on 250,000 points 3.3 s at 105 MB (4.3 s at 158 MB for --format json);
+# one run each on a 2-vCPU VM with Python 3.11.
+CAUCHY_LIMITS = {"depth": 1_000_000, "grid points": 250_000,
+                 "depth * grid points": 50_000_000}
+
+# Largest fock --n without --force.  The matrices are dense, so memory grows
+# like n^2 and time like n^3: --relations took 1.8 s at 124 MB at n = 400,
+# 5.2 s at 259 MB at 600 and 7.9 s at 447 MB at 800, one run each on a
+# 2-vCPU VM with Python 3.11.
+FOCK_N_LIMIT = 600
+
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
+
+_json_str = json.encoder.encode_basestring_ascii  # json.dumps's own string encoder
 
 
 def _fraction(text: str) -> Fraction:
@@ -106,8 +132,19 @@ def _at_least(low: int):
     return convert
 
 
-def _grid(text: str) -> list:
-    """MIN:MAX:STEPS as STEPS evenly spaced floats, every one finite."""
+def _points(lo: float, hi: float, steps: int, indices=None) -> list:
+    """The points of the grid MIN:MAX:STEPS, or those at the given indices."""
+    return [lo if steps == 1 else lo + (hi - lo) * i / (steps - 1)
+            for i in indices or range(steps)]
+
+
+def _grid(text: str, positive: bool = False) -> tuple:
+    """MIN:MAX:STEPS as (MIN, MAX, STEPS), every point finite (and positive).
+
+    Rounding is monotone, so the points run monotonically from the first to
+    the last (the first is nan when MAX - MIN overflows): the two ends check
+    them all without listing them.  cauchy lists them once its limits admit
+    STEPS."""
     try:
         lo, hi, steps = text.split(":")
         lo, hi, steps = float(lo), float(hi), int(steps)
@@ -115,19 +152,14 @@ def _grid(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected MIN:MAX:STEPS, got {text!r}") from None
     if steps < 1:
         raise argparse.ArgumentTypeError("STEPS must be >= 1")
-    grid = [lo] if steps == 1 else [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    ends = _points(lo, hi, steps, (0, steps - 1))
     # nan <= 0 is false, so a nan would pass every later range check
-    if not all(math.isfinite(v) for v in (lo, hi, *grid)):
+    if not all(math.isfinite(v) for v in (lo, hi, *ends)):
         raise argparse.ArgumentTypeError(
             f"MIN, MAX and the grid points must be finite, got {text!r}")
-    return grid
-
-
-def _positive_grid(text: str) -> list:
-    grid = _grid(text)
-    if any(v <= 0 for v in grid):
+    if positive and min(ends) <= 0:
         raise argparse.ArgumentTypeError("imaginary parts must be positive")
-    return grid
+    return lo, hi, steps
 
 
 def _word(text: str) -> words.OperatorWord:
@@ -149,13 +181,13 @@ def _partition_word(text: str) -> words.OperatorWord:
     return words.OperatorWord.from_partition(p)
 
 
-def _limit_exit(name: str, limit: int, n: int, force: bool) -> int:
-    """0 if the engine name may compute up to size n; else report its limit
-    and return the exit code 3."""
+def _limit_exit(name: str, limit: int, n: int, force: bool, size: str = "n") -> int:
+    """0 if n, the run's size by the measure size, is within the engine
+    name's limit or force is set; else report the limit and return 3."""
     if force or n <= limit:
         return 0
-    print(f"error: n = {n} exceeds the {name} engine's limit {limit}; "
-          f"its cost grows steeply with n", file=sys.stderr)
+    print(f"error: {size} = {n} exceeds the {name} engine's limit {limit}; "
+          f"its cost grows steeply with {size}", file=sys.stderr)
     print("pass --force to override the limit for this run", file=sys.stderr)
     return 3
 
@@ -251,6 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fck.add_argument("--relations", action="store_true",
                        help="verify the commutation relations")
     p_fck.add_argument("--format", choices=("plain", "json"), default="plain")
+    p_fck.add_argument("--force", action="store_true",
+                       help="override the --n limit for this run")
 
     p_cau = add_command("cauchy", "Cauchy transform on a grid (CSV)", _cmd_cauchy,
                         s=1.0, t=1.0)
@@ -263,13 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_cau.add_argument("--re", type=_grid, default="-2:4:7", metavar="MIN:MAX:STEPS",
                        help="grid of real parts (default -2:4:7); give a "
                        "negative MIN in the --re=MIN:MAX:STEPS form")
-    p_cau.add_argument("--im", type=_positive_grid, default="0.5:3.5:7",
-                       metavar="MIN:MAX:STEPS",
+    p_cau.add_argument("--im", type=lambda text: _grid(text, positive=True),
+                       default="0.5:3.5:7", metavar="MIN:MAX:STEPS",
                        help="grid of positive imaginary parts (default "
                        "0.5:3.5:7); --im=MIN:MAX:STEPS also works")
     p_cau.add_argument("--closed", action="store_true",
                        help="also evaluate the s=1, t->0 closed form and the difference")
     p_cau.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_cau.add_argument("--force", action="store_true",
+                       help="override the --depth and grid limits for this run")
 
     return parser
 
@@ -286,39 +322,51 @@ def _cmd_moments(args) -> int:
     tables = [_ENGINE_TABLES[name](args.nmax, args.s, args.t) for name in engines]
     agree = all(table[1:] == tables[0][1:] for table in tables)
     at = args.at
-    # (n, m_n, m_n at --at or None), rendered by each format below
+    # (n, m_n, m_n at --at or None), all computed before the first byte and
+    # rendered row by row by each format below
     rows = [(n, poly, None if at is None else poly.eval(*at))
             for n, poly in enumerate(tables[0][1:], 1)]
 
-    out = []
     if args.format == "plain":
         for n, poly, value in rows:
-            out.append(f"m_{n} = {poly}" + ("" if value is None else f" = {value}"))
+            print(f"m_{n} = {poly}" + ("" if value is None else f" = {value}"))
         if args.engine == "all":
-            out.append("ENGINES AGREE" if agree else "ENGINE DISAGREEMENT")
-        print("\n".join(out))
+            print("ENGINES AGREE" if agree else "ENGINE DISAGREEMENT")
+        elif not rows:
+            print()
     elif args.format == "csv":
-        out.append("n,moment" + ("" if at is None else ",value"))
+        print("n,moment" + ("" if at is None else ",value"))
         for n, poly, value in rows:
-            out.append(f'{n},"{poly}"' + ("" if value is None else f",{value}"))
-        print("\n".join(out))
+            print(f'{n},"{poly}"' + ("" if value is None else f",{value}"))
     else:
-        payload = {
-            "engine": args.engine,
-            "rows": [
-                {
-                    "n": n,
-                    "moment": str(poly),
-                    "terms": poly.to_json_terms(),
-                    **({} if value is None else {"value": str(value)}),
-                }
-                for n, poly, value in rows
-            ],
-        }
-        if args.engine == "all":
-            payload["engines_agree"] = agree
-        print(json.dumps(payload, indent=2))
+        _write_json_table(args.engine, rows, agree if args.engine == "all" else None)
     return 0 if agree else 1
+
+
+def _write_json_table(engine, rows, agree):
+    """The moments JSON document, byte for byte what json.dumps(indent=2)
+    makes of {"engine", "rows": [{"n", "moment", "terms", "value"?}],
+    "engines_agree"?}, with each row's terms as MultiPoly.to_json_terms
+    gives them, written one row at a time; agree None leaves out
+    engines_agree."""
+    write = sys.stdout.write
+    write(f'{{\n  "engine": {_json_str(engine)},\n  "rows": [')
+    lead = "\n"
+    for n, poly, value in rows:
+        # el is an int, or json's float text for a half unit
+        terms = ",\n".join([
+            f'        {{\n          "el": {repr(el2 / 2) if el2 & 1 else el2 >> 1},\n'
+            f'          "es": {es},\n          "et": {et},\n          "coeff": "{c}"\n        }}'
+            for (el2, es, et), c in poly.terms()])
+        terms = f"[\n{terms}\n      ]" if terms else "[]"
+        value = "" if value is None else f',\n      "value": {_json_str(str(value))}'
+        write(f'{lead}    {{\n      "n": {n},\n      "moment": {_json_str(str(poly))},\n'
+              f'      "terms": {terms}{value}\n    }}')
+        lead = ",\n"
+    write("\n  ]" if rows else "]")
+    if agree is not None:
+        write(f',\n  "engines_agree": {json.dumps(agree)}')
+    write("\n}\n")
 
 
 def _cmd_sequence(args) -> int:
@@ -368,29 +416,27 @@ def _cmd_partitions(args) -> int:
         return 0
 
     if args.list:
-        items = []
+        # each member is written as it is enumerated; str of a list of ints
+        # is its json.dumps text, and without the spaces its compact text
         as_json = args.format == "json"
+        lead = "["
         for p in partitions.enumerate_family(args.n, family):
             blocks = p.to_json_obj()
-            if not as_json:
-                blocks = json.dumps(blocks, separators=(",", ":"))
             if args.stats:
                 st = p.stats()
                 w = moments.weight(p, st)
-                if as_json:
-                    items.append({"blocks": blocks,
-                                  "depths": list(st.block_depths),
-                                  "td1": st.td1, "td2": st.td2,
-                                  "weight": str(w)})
-                else:
-                    print(f"{blocks} depths={list(st.block_depths)} "
-                          f"td1={st.td1} td2={st.td2} weight={w}")
-            elif as_json:
-                items.append(blocks)
+            if as_json:
+                sys.stdout.write(lead + (
+                    f'{{"blocks": {blocks}, "depths": {list(st.block_depths)}, '
+                    f'"td1": {st.td1}, "td2": {st.td2}, "weight": {_json_str(str(w))}}}'
+                    if args.stats else str(blocks)))
+                lead = ", "
             else:
-                print(blocks)
+                blocks = str(blocks).replace(" ", "")
+                print(f"{blocks} depths={list(st.block_depths)} td1={st.td1} td2={st.td2} "
+                      f"weight={w}" if args.stats else blocks)
         if as_json:
-            print(json.dumps(items))
+            print("[]" if lead == "[" else "]")
         return 0
 
     total = sum(partitions.count_by_blocks(args.n, family))
@@ -446,6 +492,8 @@ def _cmd_fock(args) -> int:
         args.error("nothing to do; pass --dump and/or --relations")
     if args.relations and args.n < 2:
         args.error("--relations needs --n >= 2")
+    if code := _limit_exit("fock", FOCK_N_LIMIT, args.n, args.force):
+        return code
     payload = {}  # one JSON document: the dump's keys, then the relations'
     if args.dump:
         if args.dump == "poisson":
@@ -474,6 +522,11 @@ def _cmd_fock(args) -> int:
 def _cmd_cauchy(args) -> int:
     if args.closed and not (args.s == 1.0 and args.t == 0.0):
         args.error("--closed requires s = 1 and t -> 0 (--s-one --t-zero)")
+    points = args.re[2] * args.im[2]  # the STEPS of the two grids
+    for size, n in {"depth": args.depth, "grid points": points,
+                    "depth * grid points": args.depth * points}.items():
+        if code := _limit_exit("cauchy", CAUCHY_LIMITS[size], n, args.force, size):
+            return code
 
     # lam, s, t and depth are fixed for the command, so the coefficients and
     # the start of their repeated tail are found once; each point is what
@@ -483,8 +536,9 @@ def _cmd_cauchy(args) -> int:
     try:
         alphas, omegas = analytic.jacobi_floats(args.lam, args.s, args.t, args.depth)
         start = analytic.run_start(alphas, omegas)
-        for im in args.im:
-            for re in args.re:
+        res = _points(*args.re)
+        for im in _points(*args.im):
+            for re in res:
                 z = complex(re, im)
                 g = analytic.continued_fraction(z, alphas, omegas, start)
                 row = (re, im, g.real, g.imag)

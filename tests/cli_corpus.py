@@ -29,16 +29,16 @@ from fockpoisson.partitions import Family
 DIGESTS = Path(__file__).with_name("cli_corpus.json")
 
 # the nine limit-flag pairs: each of s and t as a variable, at one, at zero
-_FLAGS = [(*s, *t) for s in ((), ("--s-one",), ("--s-zero",))
-          for t in ((), ("--t-one",), ("--t-zero",))]
+ST_FLAGS = [(*s, *t) for s in ((), ("--s-one",), ("--s-zero",))
+            for t in ((), ("--t-one",), ("--t-zero",))]
 _AT = "--at=3/2,1/3,2/5"
 
 
 def _moments(engine):
     calls = [("moments", "--engine", engine, "--nmax", str(n), *flags)
-             for n in range(9) for flags in _FLAGS]
+             for n in range(9) for flags in ST_FLAGS]
     calls += [("moments", "--engine", engine, "--nmax", str(n), *flags, *at, "--format", fmt)
-              for n in (1, 5) for flags in _FLAGS for at in ((), (_AT,))
+              for n in (1, 5) for flags in ST_FLAGS for at in ((), (_AT,))
               for fmt in ("plain", "json", "csv")]
     if engine in ("jacobi", "operator"):  # rows past the s = 2**(2n) digit width of n <= 8
         calls += [("moments", "--engine", engine, "--nmax", n, *flags)
@@ -123,6 +123,12 @@ _REFUSED_LIMIT = [
     ("partitions", "--n", "13", "--list"),
     ("partitions", "--n", "58"),
     ("partitions", "--n", "58", "--count-by-blocks"),
+    ("cauchy", "--depth", "1000001", "--re=0:1:1", "--im=1:1:1"),
+    ("cauchy", "--depth", "1", "--re=0:1:1000", "--im=1:2:251"),
+    ("cauchy", "--depth", "1", "--re=0:1:100000000", "--im=1:1:1"),
+    ("cauchy", "--depth", "1000", "--re=0:1:500", "--im=1:2:101"),
+    ("fock", "--n", "601", "--relations"),
+    ("fock", "--n", "601", "--dump", "poisson"),
 ]
 
 _dumps, _relations = _fock()

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,9 @@ import fockpoisson
 from fockpoisson import analytic
 from fockpoisson.cli import main
 from fockpoisson.moments import cfree_moments
+from fockpoisson.partitions import Family
 
+from cli_corpus import ST_FLAGS
 from oracles import continued_fraction_plain
 
 MOMENTS_CFREE_PLAIN = """\
@@ -551,6 +554,29 @@ def test_fock_usage_error_before_any_output(capsys):
     assert code == 0 and json.loads(out)["dim"] == 2
 
 
+@pytest.mark.parametrize("mode", [("--relations",), ("--dump", "poisson"),
+                                  ("--dump", "creation", "--relations")])
+def test_fock_limit_refuses_before_any_matrix(capsys, no_engines, mode):
+    from fockpoisson import cli
+
+    n = cli.FOCK_N_LIMIT + 1
+    code, out, err = run(capsys, "fock", "--n", str(n), *mode)
+    assert code == 3 and out == ""
+    assert err == (f"error: n = {n} exceeds the fock engine's limit {cli.FOCK_N_LIMIT}; "
+                   "its cost grows steeply with n\n"
+                   "pass --force to override the limit for this run\n")
+
+
+def test_fock_limit_admits_its_limit_and_force(capsys, monkeypatch):
+    from fockpoisson import cli
+
+    monkeypatch.setattr(cli, "FOCK_N_LIMIT", 3)
+    for argv in (("--n", "3"), ("--n", "4", "--force")):
+        code, out, _ = run(capsys, "fock", *argv, "--dump", "poisson")
+        assert code == 0 and json.loads(out)["dim"] == int(argv[1]) + 1
+    assert run(capsys, "fock", "--n", "4", "--relations")[0] == 3
+
+
 def test_fock_dump_and_relations_are_one_json_document(capsys):
     code, out, _ = run(capsys, "fock", "--n", "2", "--dump", "scalar", "--relations",
                        "--format", "json")
@@ -581,6 +607,82 @@ def test_json_output_is_one_document(capsys, argv):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     json.loads(out)
+
+
+@pytest.mark.parametrize("engine", ["nc", "blockwise", "jacobi", "operator", "all"])
+def test_moments_json_is_the_json_modules_layout(capsys, engine):
+    """The moments JSON, written row by row, is json.dumps(indent=2)'s text."""
+    for flags in ST_FLAGS:
+        for nmax in range(9):
+            for at in ((), ("--at=3/2,1/3,2/5",)):
+                argv = ("moments", "--engine", engine, "--nmax", str(nmax), *flags, *at,
+                        "--format", "json")
+                code, out, _ = run(capsys, *argv)
+                assert code == 0
+                assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+def test_moments_json_layout_of_half_units_and_zero(capsys, monkeypatch):
+    """el of a half unit is json's float text, and a zero row has no terms."""
+    from fockpoisson import cli
+    from fockpoisson.poly import LAM, ONE, S, SQRT_LAM, T, ZERO
+
+    table = [ONE, SQRT_LAM, ZERO, 3 * SQRT_LAM * LAM * S + T - 2 * LAM]
+    monkeypatch.setitem(cli._ENGINE_TABLES, "nc", lambda nmax, s, t: table[:nmax + 1])
+    code, out, _ = run(capsys, "moments", "--engine", "nc", "--nmax", "3",
+                       "--at=9/4,1/2,1/3", "--format", "json")
+    assert code == 0
+    assert out == json.dumps({"engine": "nc", "rows": [
+        {"n": n, "moment": str(poly), "terms": poly.to_json_terms(),
+         "value": str(poly.eval(Fraction(9, 4), Fraction(1, 2), Fraction(1, 3)))}
+        for n, poly in enumerate(table[1:], 1)]}, indent=2) + "\n"
+    assert '"el": 0.5,' in out and '"el": 1.5,' in out and '"terms": [],' in out
+
+
+@pytest.mark.parametrize("family", [f.name for f in Family])
+def test_partitions_list_json_is_the_json_modules_layout(capsys, family):
+    """The listing, written member by member, is json.dumps's one line."""
+    for n in range(1, 9):
+        for stats in ((), ("--stats",)):
+            argv = ("partitions", "--family", family, "--n", str(n), "--list", *stats,
+                    "--format", "json")
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert out == json.dumps(json.loads(out)) + "\n", argv
+
+
+class _Discard:
+    """A stdout that keeps nothing of what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (("partitions", "--n", "10", "--list", "--stats", "--format", "json"), 1 << 20),
+    (("moments", "--engine", "operator", "--nmax", "16", "--format", "json"), 4 << 20),
+], ids=["partitions", "moments"])
+def test_listings_and_tables_stream(monkeypatch, argv, limit):
+    """Written row by row, a listing holds one member at a time and a table
+    one row's text: partitions --n 10 peaked at 19.6 MB and moments --nmax
+    16 at 8.8 MB when each document was built whole before printing."""
+    import tracemalloc
+
+    from fockpoisson import cli
+
+    monkeypatch.setattr(cli, "_parser", cli.build_parser())
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        code = cli.main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < limit, peak
 
 
 def test_cauchy_csv_grid(capsys):
@@ -756,6 +858,118 @@ def test_cauchy_negative_range_start_in_equals_form(capsys):
     assert typed == default
 
 
+# (argv, the measure past its limit in cli.CAUCHY_LIMITS, its value)
+CAUCHY_PAST_LIMITS = [
+    (("--depth", "1000001", "--re=0:1:1", "--im=1:1:1"), "depth", 1_000_001),
+    (("--depth", "1", "--re=0:1:1000", "--im=1:2:251"), "grid points", 251_000),
+    (("--depth", "1000", "--re=0:1:500", "--im=1:2:101"), "depth * grid points", 50_500_000),
+]
+
+
+@pytest.mark.parametrize("argv, size, value", CAUCHY_PAST_LIMITS,
+                         ids=["depth", "points", "work"])
+def test_cauchy_limits_refuse_before_any_work(capsys, no_engines, argv, size, value):
+    from fockpoisson import cli
+
+    def refuse(*args):
+        raise AssertionError("the coefficients were built")
+
+    no_engines.setattr(analytic, "jacobi_floats", refuse)
+    limit = cli.CAUCHY_LIMITS[size]
+    code, out, err = run(capsys, "cauchy", *argv)
+    assert code == 3 and out == ""
+    assert err == (f"error: {size} = {value} exceeds the cauchy engine's limit {limit}; "
+                   f"its cost grows steeply with {size}\n"
+                   "pass --force to override the limit for this run\n")
+
+
+# --depth 5 on 3 x 3 points is at each limit set to 5, 9 or 45 in turn
+@pytest.mark.parametrize("size, limit", [("depth", 5), ("grid points", 9),
+                                         ("depth * grid points", 45)],
+                         ids=["depth", "points", "work"])
+def test_cauchy_limits_admit_their_limits_and_force(capsys, monkeypatch, size, limit):
+    from fockpoisson import cli
+
+    monkeypatch.setitem(cli.CAUCHY_LIMITS, size, limit)
+    at_limit = run(capsys, "cauchy", "--depth", "5", "--re=0:1:3", "--im=1:2:3")
+    assert at_limit[0] == 0 and len(at_limit[1].splitlines()) == 10
+    past = ("--depth", "6", "--re=0:1:3", "--im=1:2:4")
+    assert run(capsys, "cauchy", *past)[0] == 3
+    code, out, _ = run(capsys, "cauchy", *past, "--force")
+    assert code == 0 and len(out.splitlines()) == 13
+
+
+def test_cauchy_limits_are_above_the_tests_and_the_benchmark():
+    from fockpoisson import cli
+
+    assert cli.CAUCHY_LIMITS == {"depth": 1_000_000, "grid points": 250_000,
+                                 "depth * grid points": 50_000_000}
+    # the largest runs: --depth 5000 on 8 x 8 points above, and the
+    # benchmark's --depth 200 on 15 x 15
+    for depth, points in ((5000, 64), (200, 225)):
+        assert depth <= cli.CAUCHY_LIMITS["depth"]
+        assert points <= cli.CAUCHY_LIMITS["grid points"]
+        assert depth * points <= cli.CAUCHY_LIMITS["depth * grid points"]
+
+
+def test_cauchy_grid_is_not_listed_before_the_limits(capsys, monkeypatch):
+    """A grid past the points limit is refused before its points exist: the
+    300,000 floats of --re would take about 9 MB."""
+    import tracemalloc
+
+    from fockpoisson import cli
+
+    monkeypatch.setattr(cli, "_parser", cli.build_parser())
+    tracemalloc.start()
+    try:
+        code = cli.main(["cauchy", "--depth", "1", "--re=0:1:300000", "--im=1:1:1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and capsys.readouterr().out == ""
+    assert peak < 1 << 20, peak
+
+
+def _grid_listed(text, positive=False):
+    """The grid's points, listed and checked one by one, or None where the
+    rule refuses it: the oracle of cli._grid's check of the end points."""
+    lo, hi, steps = text.split(":")
+    lo, hi, steps = float(lo), float(hi), int(steps)
+    grid = [lo] if steps == 1 else [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    if not all(math.isfinite(v) for v in (lo, hi, *grid)):
+        return None
+    if positive and any(v <= 0 for v in grid):
+        return None
+    return grid
+
+
+def test_cauchy_grid_check_equals_listing_every_point():
+    """Rounding is monotone, so the first and last points bound the rest:
+    cli._grid refuses exactly the grids with a point that is not finite (or
+    not positive), and cli._points lists the same floats."""
+    import argparse
+    import random
+
+    from fockpoisson import cli
+
+    rng = random.Random(7)
+    edges = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 5e-324, 1e308, -1e308, 1.7976931348623157e308,
+             -1.7976931348623157e308, math.inf, -math.inf, math.nan, 0.5, 3.0]
+    texts = [f"{lo!r}:{hi!r}:{steps}" for lo in edges for hi in edges for steps in (1, 2, 3, 7)]
+    texts += [f"{rng.uniform(-1, 1) * 10 ** rng.randint(-320, 308)!r}:"
+              f"{rng.uniform(-1, 1) * 10 ** rng.randint(-320, 308)!r}:{rng.randint(1, 40)}"
+              for _ in range(3000)]
+    for text in texts:
+        for positive in (False, True):
+            try:
+                got = cli._points(*cli._grid(text, positive))
+            except argparse.ArgumentTypeError:
+                got = None
+            want = _grid_listed(text, positive)
+            assert (got is None) == (want is None), text
+            assert got is None or list(map(repr, got)) == list(map(repr, want)), text
+
+
 def test_engine_disagreement_exits_one(capsys, monkeypatch):
     import fockpoisson.cli as cli
     from fockpoisson.poly import MultiPoly
@@ -914,20 +1128,34 @@ def test_main_calls_in_one_process_match_each_call_alone(capsys, monkeypatch, ca
 
 def test_closed_stdout_pipe_exits_quietly():
     """`fockpoisson ... | head` ends with exit 141 and nothing on stderr, help
-    text included.  The read end is closed before the command starts, so
-    every write fails."""
+    text and streamed listings and tables included.  The read end is closed
+    before the command starts, so every write fails; or the reader closes it
+    after the first line, so the break comes mid-stream."""
     src = str(Path(fockpoisson.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         for argv in (("fock", "--n", "3", "--dump", "poisson"), ("sequence", "--nmax", "3"),
-                     ("--help",), ("moments", "--help")):
+                     ("--help",), ("moments", "--help"),
+                     ("partitions", "--n", "6", "--list", "--stats", "--format", "json"),
+                     ("moments", "--engine", "jacobi", "--nmax", "5", "--format", "json")):
             proc = subprocess.run([sys.executable, "-m", "fockpoisson.cli", *argv],
                                   stdout=write_end, stderr=subprocess.PIPE, text=True,
-                                  timeout=120, env={**os.environ, "PYTHONPATH": src})
+                                  timeout=120, env=env)
             assert (proc.returncode, proc.stderr) == (141, ""), argv
     finally:
         os.close(write_end)
+    # outputs of 840 kB and 570 kB, far past what the pipe and the first read hold
+    for argv in (("moments", "--engine", "operator", "--nmax", "16", "--format", "json"),
+                 ("partitions", "--n", "10", "--list")):
+        with subprocess.Popen([sys.executable, "-m", "fockpoisson.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env=env) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, ""), argv
 
 
 def test_cli_import_loads_no_introspection_modules():
