@@ -62,12 +62,12 @@ _ENGINE_TABLES = {
 # Largest n that each engine computes without --force: moments --nmax, and
 # for nc also partitions --list --n, which lists the same NC(n) and keeps
 # the limit 12 although the nc table is cheaper.  At its limit a run took
-# 0.7 s (nc; 1.8 to 2.4 s for partitions --list, 3.8 to 4 s with --stats), 8 s
-# (blockwise, 58 MB RSS), 5.9 to 6.1 s (jacobi, 213 MB) and 6.7 to 9.5 s
-# (operator, 414 MB) on a 2-vCPU VM with Python 3.11, three runs each, and
-# the cost grows by about a fifth (jacobi, operator), three quarters
-# (blockwise) or threefold (nc) per row: jacobi --nmax 40 ran for 17 s at
-# 406 MB, nc --nmax 13 for 2.3 s.
+# 0.14 to 0.22 s (nc, six runs; 1.8 to 2.4 s for partitions --list, 3.8 to
+# 4 s with --stats), 8 s (blockwise, 58 MB RSS), 5.9 to 6.1 s (jacobi,
+# 213 MB) and 6.7 to 9.5 s (operator, 414 MB) on a 2-vCPU VM with Python
+# 3.11, three runs each, and the cost grows by about a fifth (jacobi,
+# operator), three quarters (blockwise) or threefold (nc) per row: jacobi
+# --nmax 40 ran for 17 s at 406 MB, nc --nmax 13 for 0.34 to 0.43 s.
 ENGINE_NMAX_LIMITS = {"nc": 12, "blockwise": 28, "jacobi": 36, "operator": 40}
 
 # Largest n that partitions counts without --force, with or without

@@ -3,9 +3,10 @@
 Three independent routes compute the same moment polynomial m_n(l, s, t):
 
   * moment_nc        - sum over the enumerated non-crossing partitions of
-                       l^blocks * s^td1 * t^td2, counted by one walk over
-                       NC(n) whose frames carry the open block ends and
-                       the totals (partitions.nc_weight_counts),
+                       l^blocks * s^td1 * t^td2, counted by one sweep over
+                       the points of [n] that visits each member of NC(n)
+                       once, with the totals in its frames
+                       (partitions.nc_weight_counts),
   * moment_blockwise - the same sum as a per-block product, a block of size k
                        at depth d weighing l * s^d * t^((k-2)*d), added up by
                        the first-block recursion partitions.block_sums,
@@ -254,7 +255,7 @@ def weight(p: NCPartition, st=None) -> MultiPoly:
 
 def nc_moments(n: int, s=S, t=T) -> list:
     """[m_0, ..., m_n] as weight sums over non-crossing partitions, from one
-    walk over NC(n) (partitions.nc_weight_counts).
+    sweep that visits each member of NC(n) (partitions.nc_weight_counts).
 
     A partition of [n] whose last j points are singletons at depth 0 is a
     member of NC(n - j) plus j blocks that nest nothing and sit inside

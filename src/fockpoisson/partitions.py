@@ -18,11 +18,12 @@ computed once per walk and kept when the region has at most n // 2 points
 It yields each non-crossing partition once in a fixed order, with no size
 cap (NC(n) grows like Catalan(n); the CLI guards its listings).  Block depths are read
 back from the blocks in one stack sweep (block_depths).  nc_weight_counts
-runs the same walk with block_depths' stack carried in its frames, and
-counts the partitions by blocks, td1, td2 and trailing singletons without
-building any.  block_sums adds up per-block weights without listing any
-partition, and count_by_blocks counts with it the families: a Family is its
-inner-block cap, the most points a block at depth >= 1 may have.
+is a second, separate enumeration of NC(n): one sweep over the points with
+is_noncrossing's stack of open blocks, which counts the partitions by
+blocks, td1, td2 and trailing singletons without building any.  block_sums
+adds up per-block weights without listing any partition, and
+count_by_blocks counts with it the families: a Family is its inner-block
+cap, the most points a block at depth >= 1 may have.
 """
 
 from __future__ import annotations
@@ -215,44 +216,38 @@ def enumerate_nc(n: int):
 
 
 def nc_weight_counts(n: int) -> dict:
-    """{(blocks, td1, td2, tail): count} over NC(n), from enumerate_nc's walk.
+    """{(blocks, td1, td2, tail): count} over NC(n), from one sweep over the
+    points 1..n that visits each member once, merging no two of them.
 
-    Each frame carries what the blocks chosen before its region give: the
-    ends of the blocks still open at the region's first point (block_depths'
-    stack, so the region's first block has their number as depth), the
-    block count, td1, td2 and tail, the run of trailing singletons at depth
-    0.  Blocks come out in order of their first point, so a depth-0
-    singleton adds 1 to tail and any other block resets it; at the end,
-    tail = j says that the last j points are singletons at depth 0.
+    The sweep keeps is_noncrossing's stack of open blocks as its height h: a
+    point is a singleton, opens a block, or joins the innermost open block
+    as a middle or last point.  A block's depth is h at its first point, so
+    a new block, singleton or opened, adds h to td1, and a middle point adds
+    h - 1 to td2.  No move leaves more blocks open than points after it.
+    tail is the run of trailing points that are singletons at depth 0: at
+    the end, tail = j says that the last j points are such singletons.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     counts = {}
-    choices_of = _choices_memo(n)
-    # frames: (choices left for the region at the front, the regions waiting
-    # after it, the ends open at its first point, blocks, td1, td2, tail)
-    stack = [(_region_choices(1, n), (), (), 0, 0, 0, 0)]
+    # frames: (the next point x, open blocks h, blocks, td1, td2, tail)
+    stack = [(1, 0, 0, 0, 0, 0)]
+    push, pop = stack.append, stack.pop
     while stack:
-        choices, waiting, ends, k, td1, td2, tail = stack[-1]
-        d = len(ends)
-        for block, gaps in choices:
-            size = len(block)
-            nd2 = td2 + (size - 2) * d if size > 2 else td2
-            ntail = tail + 1 if size == 1 and not d else 0
-            pending = gaps + waiting
-            if not pending:
-                key = (k + 1, td1 + d, nd2, ntail)
-                counts[key] = counts.get(key, 0) + 1
-                continue
-            region = pending[0]
-            lo = region[0]
-            opened = (*ends, block[-1])
-            while opened and opened[-1] < lo:
-                opened = opened[:-1]
-            stack.append((choices_of(region), pending[1:], opened, k + 1, td1 + d, nd2, ntail))
-            break
-        else:
-            stack.pop()
+        x, h, k, td1, td2, tail = pop()
+        if x == n:  # a singleton at depth 0, or the last open block's end
+            key = (k, td1, td2, 0) if h else (k + 1, td1, td2, tail + 1)
+            counts[key] = counts.get(key, 0) + 1
+            continue
+        left, x = n - x, x + 1
+        if h <= left:
+            push((x, h, k + 1, td1 + h, td2, 0 if h else tail + 1))
+            if h < left:
+                push((x, h + 1, k + 1, td1 + h, td2, 0))
+            if h:
+                push((x, h, k, td1, td2 + h - 1, 0))
+        if h:
+            push((x, h - 1, k, td1, td2, 0))
     return counts
 
 

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from fockpoisson import fock, moments
+from fockpoisson import fock, moments, partitions
 from fockpoisson.cli import CFREE_SEQUENCE_REFERENCE
 from fockpoisson.moments import (
     DegreeOutOfRangeError,
@@ -144,6 +144,22 @@ def test_nc_moments_match_blockwise_under_every_substitution(monkeypatch):
             assert nc_moments(12, s, t) == blockwise_moments(12, s, t), (s, t)
             assert nc_moments(5, s, t) == blockwise_moments(5, s, t), (s, t)
     assert list(walks) == [12, 5]
+
+
+def test_nc_moments_use_no_other_engine(monkeypatch):
+    expected = blockwise_moments(9)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the nc table used another engine")
+
+    # with the listing's region walk gone too, the nc table is its own
+    # enumeration of NC(n): nothing it calls is shared with another engine
+    for module, name in ((partitions, "_region_choices"), (partitions, "_choices_memo"),
+                         (partitions, "enumerate_nc"), (partitions, "block_sums"),
+                         (moments, "block_sums"), (moments, "motzkin_walk"),
+                         (moments, "jacobi"), (fock, "poisson_matrix")):
+        monkeypatch.setattr(module, name, refuse)
+    assert nc_moments(9) == expected
 
 
 def test_nc_moments_weigh_other_values_with_ring_products():

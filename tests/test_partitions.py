@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from collections import Counter, deque
 from itertools import islice
+from math import comb
 
 import pytest
 
@@ -147,6 +148,9 @@ def test_block_depths_match_definitions():
 
 
 def test_nc_weight_counts_match_the_listing():
+    # two separate enumerations of NC(n): the listing's region walk, weighed
+    # here by block_depths, against the table's point-by-point sweep, which
+    # tests/test_moments.py runs with the region walk patched out
     for n in range(1, 11):
         expected = Counter()
         for p in enumerate_nc(n):
@@ -164,6 +168,23 @@ def test_nc_weight_counts_match_the_listing():
     assert counts[6, 0, 0, 6] == 1
     with pytest.raises(ValueError):
         nc_weight_counts(0)
+
+
+def test_nc_weight_counts_closed_forms():
+    # closed forms that share no code with either enumerator
+    for n in range(1, 13):
+        counts = nc_weight_counts(n)
+        by_blocks = Counter()
+        for key, c in counts.items():
+            by_blocks[key[0]] += c
+        assert by_blocks == {k: comb(n, k) * comb(n, k - 1) // n for k in range(1, n + 1)}, n
+        for j in range(n + 1):  # the last j points are singletons at depth 0
+            m = n - j
+            with_tail = sum(c for key, c in counts.items() if key[3] >= j)
+            assert with_tail == comb(2 * m, m) // (m + 1), (n, j)  # Catalan(n - j)
+        assert {key: c for key, c in counts.items() if key[3] == n} == {(n, 0, 0, n): 1}
+        # td1 = 0: no block nests another, an interval partition (a composition of n)
+        assert sum(c for key, c in counts.items() if key[1] == 0) == 2 ** (n - 1), n
 
 
 def test_stats_examples():
