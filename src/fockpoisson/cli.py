@@ -87,10 +87,12 @@ COUNT_N_LIMIT = 57
 CAUCHY_LIMITS = {"depth": 1_000_000, "grid points": 250_000,
                  "depth * grid points": 50_000_000}
 
-# Largest fock --n without --force.  The matrices are dense, so memory grows
-# like n^2 and time like n^3: --relations took 1.8 s at 124 MB at n = 400,
-# 5.2 s at 259 MB at 600 and 7.9 s at 447 MB at 800, one run each on a
-# 2-vCPU VM with Python 3.11.
+# Largest fock --n without --force.  The tables are dense, so memory grows
+# like n^2, and so does time: --relations applies each product of generators
+# to the n basis vectors, and each apply reads n rows.  --relations took
+# 1.6-2.0 s at 25 MB at n = 400, 3.0-3.5 s at 38 MB at 600 and 4.4-5.2 s at
+# 55 MB at 800; --dump poisson 0.2-0.3, 0.4-0.6 and 0.6-1.0 s at 31, 51 and
+# 78 MB; two runs each on a 2-vCPU VM with Python 3.11.
 FOCK_N_LIMIT = 600
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer

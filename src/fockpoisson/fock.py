@@ -9,14 +9,16 @@ index 0 being the vacuum.  The four generators act as
     intermediate:  m -> m,   entry t^(m-1) for m >= 1, vacuum -> 0
 
 and the Poisson operator is P = intermediate + sqrt(l)*(creation +
-annihilation) + l*scalar.  The operator engine's own content is these
-entries: P is a Jacobi operator (Accardi-Bozejko 1998), P[k][k] is
-alpha_(k+1) and P[k+1][k] * P[k][k+1] is omega_(k+1) of moments.jacobi, so
-its vacuum moments, the (0, 0) entries of its powers, are Motzkin-path sums.
+annihilation) + l*scalar, summed on the three diagonals where the generators
+have entries.  The operator engine's own content is these entries: P is a
+Jacobi operator (Accardi-Bozejko 1998), P[k][k] is alpha_(k+1) and
+P[k+1][k] * P[k][k+1] is omega_(k+1) of moments.jacobi, so its vacuum
+moments, the (0, 0) entries of its powers, are Motzkin-path sums.
 vacuum_moments(n) reads the coefficients off poisson_matrix(n // 2 + 1) at
 s = 2**(2n) where moments._s_digits allows it, walks them with
 moments.motzkin_walk and reads the rows back; vacuum_moment(n) is its row n.
-FockMatrix multiplies only in apply.
+FockMatrix multiplies only in apply, and check_relations applies each
+product of generators to one basis vector at a time.
 """
 
 from __future__ import annotations
@@ -38,27 +40,10 @@ class FockMatrix:
         self.dim = dim
         self.entries = entries
 
-    @classmethod
-    def zeros(cls, dim: int) -> "FockMatrix":
-        return cls([[ZERO] * dim for _ in range(dim)])
-
     def __eq__(self, other):
         if not isinstance(other, FockMatrix):
             return NotImplemented
         return self.dim == other.dim and self.entries == other.entries
-
-    def __add__(self, other):
-        if not isinstance(other, FockMatrix) or other.dim != self.dim:
-            return NotImplemented
-        return FockMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    def scale(self, factor: MultiPoly) -> "FockMatrix":
-        return FockMatrix([[factor * x for x in row] for row in self.entries])
 
     def __matmul__(self, other):
         if not isinstance(other, FockMatrix) or other.dim != self.dim:
@@ -87,13 +72,6 @@ class FockMatrix:
     def entry(self, i: int, j: int) -> MultiPoly:
         return self.entries[i][j]
 
-    def columns_equal(self, other: "FockMatrix", columns) -> bool:
-        return all(
-            self.entries[i][j] == other.entries[i][j]
-            for j in columns
-            for i in range(self.dim)
-        )
-
     def to_json_obj(self):
         return [[str(x) for x in row] for row in self.entries]
 
@@ -106,24 +84,30 @@ def build_generators(N: int, s=S, t=T):
     if N < 1:
         raise ValueError("N must be >= 1")
     dim = N + 1
-    creation = FockMatrix.zeros(dim)
-    annihilation = FockMatrix.zeros(dim)
-    scalar = FockMatrix.zeros(dim)
-    intermediate = FockMatrix.zeros(dim)
+    creation, annihilation, scalar, intermediate = tables = [
+        [[ZERO] * dim for _ in range(dim)] for _ in range(4)
+    ]
     for m in range(dim):
         if m + 1 <= N:
-            creation.entries[m + 1][m] = ONE
+            creation[m + 1][m] = ONE
         if m >= 1:
-            annihilation.entries[m - 1][m] = s ** (m - 1)
-            intermediate.entries[m][m] = t ** (m - 1)
-        scalar.entries[m][m] = s**m
-    return creation, annihilation, scalar, intermediate
+            annihilation[m - 1][m] = s ** (m - 1)
+            intermediate[m][m] = t ** (m - 1)
+        scalar[m][m] = s**m
+    return tuple(map(FockMatrix, tables))
 
 
 def poisson_matrix(N: int, s=S, t=T) -> FockMatrix:
-    """intermediate + sqrt(l)*(creation + annihilation) + l*scalar."""
-    creation, annihilation, scalar, intermediate = build_generators(N, s, t)
-    return intermediate + (creation + annihilation).scale(SQRT_LAM) + scalar.scale(LAM)
+    """intermediate + sqrt(l)*(creation + annihilation) + l*scalar, summed on
+    the three diagonals that hold the generators' entries."""
+    cre, ann, scalar, inter = (g.entries for g in build_generators(N, s, t))
+    P = [[ZERO] * (N + 1) for _ in range(N + 1)]
+    for m in range(N + 1):
+        P[m][m] = inter[m][m] + LAM * scalar[m][m]
+        if m < N:
+            P[m + 1][m] = SQRT_LAM * cre[m + 1][m]
+            P[m][m + 1] = SQRT_LAM * ann[m][m + 1]
+    return FockMatrix(P)
 
 
 def vacuum_moments(n: int, s=S, t=T) -> list:
@@ -145,61 +129,38 @@ def vacuum_moment(n: int, s=S, t=T) -> MultiPoly:
 def check_relations(N: int):
     """Verify the generator commutation relations as truncated-matrix identities.
 
-    Each relation is compared column by column on the range where it holds:
-    products involving creation exclude the top (truncated) column, relations
-    that reorder annihilation against a diagonal operator exclude the vacuum
-    column, and the two intermediate-operator exchange relations additionally
-    exclude the first column on which one side hits m_t's vacuum kernel
-    (m_t applied to the vacuum is 0, unlike the scalar operator).  Returns an
-    ordered mapping from relation name to bool.
+    Each side of a relation is a factor times a product of generators, applied
+    right to left to each basis vector e_j of the range where the relation
+    holds: products involving creation exclude the top (truncated) column,
+    relations that reorder annihilation against a diagonal operator exclude
+    the vacuum column, and the two intermediate-operator exchange relations
+    additionally exclude the first column on which one side hits m_t's vacuum
+    kernel (m_t applied to the vacuum is 0, unlike the scalar operator).
+    Returns an ordered mapping from relation name to bool.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    creation, annihilation, scalar, intermediate = build_generators(N)
-    ann_cre = annihilation @ creation
+    cre, ann, scalar, inter = build_generators(N)
+
+    def column(side, j):
+        factor, *product = side
+        vec = [ZERO] * j + [ONE]  # e_j
+        for generator in reversed(product):
+            vec = generator.apply(vec)
+        return [factor * x if x else x for x in vec]
 
     below_top = range(0, N)  # products through creation are exact here
     below_top_pos = range(1, N)
-    all_cols = range(0, N + 1)
     pos_cols = range(1, N + 1)
 
     checks = [
-        ("ann*cre = scalar", ann_cre, scalar, below_top),
-        (
-            "ann*cre = s*(cre*ann)",
-            ann_cre,
-            (creation @ annihilation).scale(S),
-            below_top_pos,
-        ),
-        (
-            "scalar*cre = s*(cre*scalar)",
-            scalar @ creation,
-            (creation @ scalar).scale(S),
-            below_top,
-        ),
-        (
-            "s*(scalar*ann) = ann*scalar",
-            (scalar @ annihilation).scale(S),
-            annihilation @ scalar,
-            pos_cols,
-        ),
-        (
-            "inter*cre = t*(cre*inter)",
-            intermediate @ creation,
-            (creation @ intermediate).scale(T),
-            below_top_pos,
-        ),
-        (
-            "t*(inter*ann) = ann*inter",
-            (intermediate @ annihilation).scale(T),
-            annihilation @ intermediate,
-            range(2, N + 1),
-        ),
-        (
-            "scalar*inter = inter*scalar",
-            scalar @ intermediate,
-            intermediate @ scalar,
-            pos_cols,
-        ),
+        ("ann*cre = scalar", (ONE, ann, cre), (ONE, scalar), below_top),
+        ("ann*cre = s*(cre*ann)", (ONE, ann, cre), (S, cre, ann), below_top_pos),
+        ("scalar*cre = s*(cre*scalar)", (ONE, scalar, cre), (S, cre, scalar), below_top),
+        ("s*(scalar*ann) = ann*scalar", (S, scalar, ann), (ONE, ann, scalar), pos_cols),
+        ("inter*cre = t*(cre*inter)", (ONE, inter, cre), (T, cre, inter), below_top_pos),
+        ("t*(inter*ann) = ann*inter", (T, inter, ann), (ONE, ann, inter), range(2, N + 1)),
+        ("scalar*inter = inter*scalar", (ONE, scalar, inter), (ONE, inter, scalar), pos_cols),
     ]
-    return {name: lhs.columns_equal(rhs, cols) for name, lhs, rhs, cols in checks}
+    return {name: all(column(lhs, j) == column(rhs, j) for j in cols)
+            for name, lhs, rhs, cols in checks}

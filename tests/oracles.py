@@ -4,10 +4,11 @@ Everything here deliberately avoids the library's code paths: set partitions
 come from restricted-growth strings rather than the gap recursion, depths are
 per-element cover counts rather than interval containment, words are checked
 and enumerated by their own level bookkeeping, and series coefficients are
-extracted by discrete contour averages.  The residuals, the identity matrix
-and the continued fraction walked to its full depth are plain formulas that
-only the tests need, and polynomial text is rendered from exponent tuples
-sorted with a key function.
+extracted by discrete contour averages.  The residuals, the identity matrix,
+the Poisson operator summed over whole dense tables and the continued
+fraction walked to its full depth are plain formulas that only the tests
+need, and polynomial text is rendered from exponent tuples sorted with a
+key function.
 """
 
 import cmath
@@ -224,6 +225,14 @@ def continued_fraction_plain(z, alphas, omegas):
 def identity_rows(dim, one, zero):
     """The dim x dim identity matrix as rows over a ring's one and zero."""
     return [[one if i == j else zero for j in range(dim)] for i in range(dim)]
+
+
+def poisson_dense_sum(creation, annihilation, scalar, intermediate, sqrt_lam, lam):
+    """The Poisson operator as the paper defines it, intermediate +
+    sqrt(l)*(creation + annihilation) + l*scalar, summed entry by entry over
+    the whole of the four generators' square tables of rows."""
+    return [[m + sqrt_lam * (c + a) + lam * k for c, a, k, m in zip(*rows)]
+            for rows in zip(creation, annihilation, scalar, intermediate)]
 
 
 # -- polynomial text ------------------------------------------------------------

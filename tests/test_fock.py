@@ -1,5 +1,6 @@
 import pytest
 
+from fockpoisson import fock
 from fockpoisson.fock import (
     FockMatrix,
     build_generators,
@@ -11,7 +12,7 @@ from fockpoisson.fock import (
 from fockpoisson.moments import jacobi
 from fockpoisson.poly import LAM, ONE, SQRT_LAM, S, T, ZERO, MultiPoly
 
-from oracles import identity_rows, nc_bruteforce, weight_exponents
+from oracles import identity_rows, nc_bruteforce, poisson_dense_sum, weight_exponents
 
 
 def mono(el, es=0, et=0):
@@ -59,6 +60,33 @@ def test_poisson_entries():
     assert P.entry(0, 2) == ZERO
 
 
+PAIRS = [(s, t) for s in (S, ONE, ZERO) for t in (T, ONE, ZERO)]
+
+
+def test_poisson_matrix_is_the_dense_sum_of_the_generators():
+    # the paper's definition of P, summed over every entry of the four tables
+    for s, t in PAIRS:
+        for N in range(1, 9):
+            tables = [g.entries for g in build_generators(N, s, t)]
+            expected = poisson_dense_sum(*tables, SQRT_LAM, LAM)
+            assert poisson_matrix(N, s, t).entries == expected, (N, s, t)
+
+
+def test_poisson_matrix_sums_on_the_band(monkeypatch):
+    # P is summed on its three diagonals from the generators' entries: at most
+    # four ring operations per level beyond the generators themselves
+    calls = [0]
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        def counted(self, other, original=getattr(MultiPoly, name)):
+            calls[0] += 1
+            return original(self, other)
+        monkeypatch.setattr(MultiPoly, name, counted)
+    build_generators(200)
+    generators, calls[0] = calls[0], 0
+    poisson_matrix(200)
+    assert 0 < calls[0] - generators <= 4 * 201
+
+
 def test_vacuum_moments_small():
     assert vacuum_moment(0) == ONE
     assert vacuum_moment(1) == LAM
@@ -72,9 +100,6 @@ def test_vacuum_moment_matches_nc_oracle():
             k, td1, td2 = weight_exponents(blocks)
             expected = expected + mono(k, es=td1, et=td2)
         assert vacuum_moment(n) == expected
-
-
-PAIRS = [(s, t) for s in (S, ONE, ZERO) for t in (T, ONE, ZERO)]
 
 
 def test_trimmed_walk_matches_dense_powers():
@@ -118,11 +143,46 @@ def test_check_relations():
     assert all(report.values())
 
 
+CRE, ANN, SCALAR, INTER = range(4)
+
+
+def mutated_generators(which, level, entry):
+    # build_generators with one entry replaced: the one that basis vector
+    # `level` maps through in generator number `which`
+    def build(N, s=S, t=T):
+        generators = build_generators(N, s, t)
+        i = {CRE: level + 1, ANN: level - 1}.get(which, level)
+        generators[which].entries[i][level] = entry
+        return generators
+    return build
+
+
+@pytest.mark.parametrize("which, level, entry, failing", [
+    (INTER, 1, T, {"inter*cre = t*(cre*inter)", "t*(inter*ann) = ann*inter"}),
+    (INTER, 5, T**5, {"inter*cre = t*(cre*inter)", "t*(inter*ann) = ann*inter"}),
+    (SCALAR, 0, S, {"ann*cre = scalar", "scalar*cre = s*(cre*scalar)",
+                    "s*(scalar*ann) = ann*scalar"}),
+    (SCALAR, 5, S**6, {"scalar*cre = s*(cre*scalar)", "s*(scalar*ann) = ann*scalar"}),
+    (ANN, 2, S**2, {"ann*cre = scalar", "ann*cre = s*(cre*ann)"}),
+    (CRE, 1, MultiPoly.const(2), {"ann*cre = scalar", "ann*cre = s*(cre*ann)"}),
+], ids=["intermediate-first", "intermediate-top", "scalar-vacuum", "scalar-top",
+        "annihilation", "creation"])
+def test_check_relations_reports_a_mutated_entry(monkeypatch, which, level, entry, failing):
+    # one wrong generator entry fails exactly the relations that read it on
+    # their column range, the first and last columns of each range included;
+    # the diagonal pair still commutes
+    names = list(check_relations(5))
+    monkeypatch.setattr(fock, "build_generators", mutated_generators(which, level, entry))
+    report = check_relations(5)
+    assert list(report) == names
+    assert {name for name, holds in report.items() if not holds} == failing
+
+
 def test_unscaled_adjoint_pair_differs():
     creation, annihilation, _, _ = build_generators(4)
     left = annihilation @ creation
     right = creation @ annihilation
-    assert not left.columns_equal(right, range(1, 4))
+    assert any(left.entry(i, j) != right.entry(i, j) for j in range(1, 4) for i in range(5))
 
 
 def test_weighted_symmetry():
