@@ -17,7 +17,6 @@ from .partitions import (
     Family,
     NCPartition,
     PartitionStats,
-    SetPartition,
     count_by_blocks,
     enumerate_family,
     enumerate_nc,
@@ -67,7 +66,6 @@ __all__ = [
     "Family",
     "NCPartition",
     "PartitionStats",
-    "SetPartition",
     "count_by_blocks",
     "enumerate_family",
     "enumerate_nc",

@@ -30,6 +30,11 @@ argparse's: a usage line, then `fockpoisson <cmd>: error: ...`, with nothing
 on stdout (a direct main() call raises SystemExit(2)); 3 an engine's limit
 exceeded without --force; 141 stdout closed by its reader (as in
 `fockpoisson ... | head`, help text included), with nothing on stderr.
+
+Integers are read and printed in full: main lifts Python's limit on the
+digits of an int converted to or from str (sys.set_int_max_str_digits, where
+the interpreter has it), which would end a run whose value passes 4,300
+digits with a ValueError.
 """
 
 from __future__ import annotations
@@ -569,6 +574,8 @@ _parser = None  # built by the first main call; parsing leaves it unchanged
 
 def main(argv=None) -> int:
     global _parser
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # values print in full, past 4,300 digits
     if _parser is None:
         _parser = build_parser()
     try:

@@ -1,31 +1,33 @@
 """Moment engines, the orthogonal-polynomial recurrence, and the limit cases.
 
-Three independent routes compute the same moment polynomial m_n(l, s, t):
+Three independent tables compute the same moments [m_0, ..., m_n], each
+m_k a polynomial in l, s and t, from one walk or recursion sized by n:
 
-  * moment_nc        - sum over the enumerated non-crossing partitions of
-                       l^blocks * s^td1 * t^td2, counted by one sweep over
-                       the points of [n] that visits each member of NC(n)
-                       once, with the totals in its frames
-                       (partitions.nc_weight_counts),
-  * moment_blockwise - the same sum as a per-block product, a block of size k
-                       at depth d weighing l * s^d * t^((k-2)*d), added up by
-                       the first-block recursion partitions.block_sums,
-  * moment_jacobi    - the Motzkin-path sum over the recurrence coefficients
-                       of jacobi(), from one motzkin_walk (jacobi_moments).
+  * nc_moments        - sums over the non-crossing partitions of
+                        l^blocks * s^td1 * t^td2, counted by one sweep over
+                        the points of [n] that visits each member of NC(n)
+                        once, with the totals in its frames
+                        (partitions.nc_weight_counts),
+  * blockwise_moments - the same sums as per-block products, a block of
+                        size k at depth d weighing l * s^d * t^((k-2)*d),
+                        added up by the first-block recursion
+                        partitions.block_sums,
+  * jacobi_moments    - the Motzkin-path sums over the recurrence
+                        coefficients of jacobi(), from one motzkin_walk.
 
-The operator engine in fockpoisson.fock is a fourth: the same motzkin_walk
+The operator table fock.vacuum_moments is a fourth: the same motzkin_walk
 over the coefficients read off the Poisson operator's matrix.  So jacobi
 and operator agree through the identities between its entries and jacobi(),
 which the tests check as polynomials; nc and blockwise, which walk no
 matrix, are the independent checks on the walk.  Exact agreement of all
 four is wired into the test suite and the CLI's all-engines mode.
 ENGINE_TABLES is the one map from engine name to its table function
-(n, s, t) -> [m_0, ..., m_n], one walk or recursion that each sizes from n
-alone; moment_table and the CLI read it, and the single-row functions are a
-table's last entry.  Every table function raises ValueError("n must be >=
-0") for n < 0 and gives [ONE] for n = 0 from its walk.  nc_moments reads
-row n - j off the members of NC(n) whose last j points are singletons at
-depth 0, with j blocks fewer.
+(n, s, t) -> [m_0, ..., m_n]; moment_table and the CLI read it.  The
+single-row functions moment_nc, moment_blockwise, moment_jacobi and
+fock.vacuum_moment give row n of a table.  Every table function raises
+ValueError("n must be >= 0") for n < 0 and gives [ONE] for n = 0 from its
+walk.  nc_moments reads row n - j off the members of NC(n) whose last j
+points are singletons at depth 0, with j blocks fewer.
 
 For s = S and t one of T, ONE, ZERO, jacobi_moments, fock.vacuum_moments
 and blockwise_moments each walk with s = 2**(2n) from _s_digits, over

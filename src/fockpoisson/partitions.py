@@ -1,7 +1,12 @@
-"""Set partitions, non-crossing partitions, and their depth statistics.
+"""Non-crossing partitions and their depth statistics.
 
-Partitions of [n] = {1, ..., n} are stored as tuples of blocks, each block a
-strictly increasing tuple of integers, blocks ordered by their minimum.  The
+NCPartition is the one partition class.  A partition of [n] = {1, ..., n} is
+stored as a tuple of blocks, each block a strictly increasing tuple of
+integers, blocks ordered by their minimum.  Its constructor validates a
+partition where it comes in from outside (the CLI, a library caller) and
+refuses crossing blocks; the enumerator and OperatorWord.to_partition build
+canonical blocks themselves and skip that check (NCPartition._trusted).
+is_noncrossing(blocks) takes the blocks of any set partition.  The
 statistics attached to a non-crossing partition are the per-block depths
 (number of blocks strictly nesting the block), their total td1, and the
 intermediate-element total td2 = sum over blocks of size >= 3 of
@@ -36,8 +41,28 @@ from itertools import combinations
 from .poly import LAM
 
 
-class SetPartition:
-    """A partition of {1..n} into disjoint nonempty blocks."""
+def is_noncrossing(blocks) -> bool:
+    """True iff no two of the blocks, a partition of [n], interleave as
+    b1 < c1 < b2 < c2.
+
+    One sweep over the elements in increasing order keeps a stack of the
+    blocks opened and not yet closed: an element that is not the first of
+    its block must belong to the block on top of the stack.
+    """
+    owner = {x: b for b in blocks for x in b}
+    open_blocks = []
+    for x in sorted(owner):
+        b = owner[x]
+        if x != b[0] and open_blocks.pop() is not b:
+            return False
+        if x != b[-1]:
+            open_blocks.append(b)
+    return True
+
+
+class NCPartition:
+    """A non-crossing partition of {1..n} into disjoint nonempty blocks; the
+    constructor validates outside input and rejects crossing blocks."""
 
     __slots__ = ("n", "blocks")
 
@@ -60,9 +85,19 @@ class SetPartition:
             raise ValueError(f"blocks do not cover 1..{n}")
         self.n = n
         self.blocks = tuple(sorted(blocks, key=lambda b: b[0]))
+        if not is_noncrossing(self.blocks):
+            raise ValueError(f"partition {self.blocks} is crossing")
+
+    @classmethod
+    def _trusted(cls, n: int, blocks) -> "NCPartition":
+        # For the package's own builders, whose blocks are canonical tuples.
+        obj = cls.__new__(cls)
+        obj.n = n
+        obj.blocks = blocks
+        return obj
 
     def __eq__(self, other):
-        if not isinstance(other, SetPartition):
+        if not isinstance(other, NCPartition):
             return NotImplemented
         return self.n == other.n and self.blocks == other.blocks
 
@@ -78,43 +113,6 @@ class SetPartition:
 
     def to_json_obj(self):
         return [list(b) for b in self.blocks]
-
-
-def is_noncrossing(p: SetPartition) -> bool:
-    """True iff no two blocks interleave as b1 < c1 < b2 < c2.
-
-    One sweep over the elements in increasing order keeps a stack of the
-    blocks opened and not yet closed: an element that is not the first of
-    its block must belong to the block on top of the stack.
-    """
-    owner = {x: b for b in p.blocks for x in b}
-    open_blocks = []
-    for x in sorted(owner):
-        b = owner[x]
-        if x != b[0] and open_blocks.pop() is not b:
-            return False
-        if x != b[-1]:
-            open_blocks.append(b)
-    return True
-
-
-class NCPartition(SetPartition):
-    """A non-crossing partition; the constructor rejects crossing input."""
-
-    __slots__ = ()
-
-    def __init__(self, n: int, blocks):
-        super().__init__(n, blocks)
-        if not is_noncrossing(self):
-            raise ValueError(f"partition {self.blocks} is crossing")
-
-    @classmethod
-    def _trusted(cls, n: int, blocks) -> "NCPartition":
-        # Fast path for the enumerator, which produces canonical blocks.
-        obj = cls.__new__(cls)
-        obj.n = n
-        obj.blocks = blocks
-        return obj
 
     def stats(self) -> "PartitionStats":
         return stats(self)

@@ -102,16 +102,15 @@ class OperatorWord:
         open_stack = []
         for k, x in enumerate(self.letters, start=1):
             if x == "K":
-                blocks.append([k])
+                blocks.append((k,))
             elif x == "C":
                 open_stack.append([k])
             elif x == "M":
                 open_stack[-1].append(k)
             else:
-                b = open_stack.pop()
-                b.append(k)
-                blocks.append(b)
-        return NCPartition(len(self.letters), blocks)
+                blocks.append((*open_stack.pop(), k))
+        blocks.sort()  # appended as they closed; distinct minima, so by minimum
+        return NCPartition._trusted(len(self.letters), tuple(blocks))
 
     @classmethod
     def from_partition(cls, p: NCPartition) -> "OperatorWord":

@@ -12,7 +12,7 @@ import pytest
 import fockpoisson
 from fockpoisson import analytic
 from fockpoisson.cli import main
-from fockpoisson.moments import cfree_moments
+from fockpoisson.moments import cfree_moments, jacobi, motzkin_walk
 from fockpoisson.partitions import Family
 
 from cli_corpus import ST_FLAGS
@@ -224,6 +224,33 @@ def test_sequence_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"values": [1, 2, 5, 14, 41], "matches_reference": True}
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Sets Python's limit on int/str conversion digits; restored after the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+def test_a_value_past_4300_digits_prints_in_full(capsys, int_digit_limit):
+    int_digit_limit(4300)  # the interpreter's default
+    code, out, _ = run(capsys, "moments", "--engine", "jacobi", "--nmax", "1",
+                       "--at", "1e5000,1,1")
+    assert code == 0
+    assert out == "m_1 = l = 1" + "0" * 5000 + "\n"
+
+
+def test_sequence_prints_past_the_int_digit_limit(capsys, int_digit_limit):
+    expected = motzkin_walk(1400, jacobi(701, 1, 1, 0))[1:]
+    assert len(str(expected[-1])) == 697
+    int_digit_limit(640)
+    code, out, _ = run(capsys, "sequence", "--nmax", "1400")
+    assert code == 0
+    assert [int(v) for v in out.split()] == expected
 
 
 def test_words_check_plain(capsys):

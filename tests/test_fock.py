@@ -9,8 +9,9 @@ from fockpoisson.fock import (
     vacuum_moment,
     vacuum_moments,
 )
-from fockpoisson.moments import jacobi
+from fockpoisson.moments import jacobi, jacobi_moments
 from fockpoisson.poly import LAM, ONE, SQRT_LAM, S, T, ZERO, MultiPoly
+from fockpoisson.words import OperatorWord
 
 from oracles import identity_rows, nc_bruteforce, poisson_dense_sum, weight_exponents
 
@@ -238,3 +239,49 @@ def test_moment_polys_have_integral_lambda_and_nonneg_coeffs():
         m = vacuum_moment(n)
         assert m.has_integral_lambda_exponents()
         assert all(coeff > 0 for _, coeff in m.terms())
+
+
+def word_expectations(generators, nmax):
+    """{letters: <vacuum, X_wn ... X_w1 vacuum>} for every word over C/A/M/K
+    of length 1..nmax, with X_C = sqrt(l)*creation, X_A = sqrt(l)*annihilation,
+    X_M = intermediate and X_K = l*scalar applied letter by letter with
+    FockMatrix.apply, the words sharing their prefixes depth first."""
+    creation, annihilation, scalar, intermediate = generators
+    steps = {"C": (SQRT_LAM, creation), "A": (SQRT_LAM, annihilation),
+             "M": (ONE, intermediate), "K": (LAM, scalar)}
+    values = {}
+    stack = [("", [ONE])]
+    while stack:
+        letters, vec = stack.pop()
+        for x, (factor, g) in steps.items():
+            word, out = letters + x, [factor * y if y else y for y in g.apply(vec)]
+            values[word] = out[0]
+            if len(word) < nmax:
+                stack.append((word, out))
+    return values
+
+
+def card_weight(letters):
+    w = OperatorWord(letters)
+    return w.arrangement().total_weight if w.is_admissible() else ZERO
+
+
+def test_every_word_expectation_is_its_card_weight():
+    # the combinatorial moment formula, word by word: the vacuum expectation
+    # of an admissible word is its card weight, of any other word zero
+    values = word_expectations(build_generators(7), 7)
+    assert len(values) == 21844
+    assert sum(OperatorWord(w).is_admissible() for w in values) == 625
+    assert [w for w, v in values.items() if v != card_weight(w)] == []
+    sums = [ZERO] * 8
+    for w, v in values.items():
+        sums[len(w)] += v
+    assert sums[1:] == jacobi_moments(7)[1:]
+
+
+def test_word_expectations_see_a_mutated_intermediate_entry():
+    creation, annihilation, scalar, intermediate = build_generators(7)
+    rows = [list(row) for row in intermediate.entries]
+    rows[2][2] = T**2  # t^(m-1) at m = 2 becomes t^m
+    values = word_expectations((creation, annihilation, scalar, FockMatrix(rows)), 5)
+    assert [w for w, v in values.items() if v != card_weight(w)]

@@ -10,7 +10,6 @@ import pytest
 from fockpoisson.partitions import (
     Family,
     NCPartition,
-    SetPartition,
     block_depths,
     block_sums,
     count_by_blocks,
@@ -30,44 +29,43 @@ from oracles import (
 
 
 def test_is_noncrossing_examples():
-    assert is_noncrossing(SetPartition(6, [[1, 2, 6], [3, 5], [4]]))
-    assert not is_noncrossing(SetPartition(4, [[1, 3], [2, 4]]))
-    assert is_noncrossing(SetPartition(1, [[1]]))
+    assert is_noncrossing(((1, 2, 6), (3, 5), (4,)))
+    assert not is_noncrossing(((1, 3), (2, 4)))
+    assert is_noncrossing(((1,),))
 
 
 def test_is_noncrossing_matches_definition():
     for n in range(1, 8):
         for blocks in set_partitions_bruteforce(n):
-            p = SetPartition(n, blocks)
-            assert is_noncrossing(p) == (not has_crossing(blocks))
+            assert is_noncrossing(blocks) == (not has_crossing(blocks))
 
 
 def test_set_partition_validation():
     with pytest.raises(ValueError):
-        SetPartition(3, [[1, 2]])  # misses 3
+        NCPartition(3, [[1, 2]])  # misses 3
     with pytest.raises(ValueError):
-        SetPartition(3, [[1, 2], [2, 3]])  # overlap
+        NCPartition(3, [[1, 2], [2, 3]])  # overlap
     with pytest.raises(ValueError):
-        SetPartition(3, [[2, 1], [3]])  # not increasing
+        NCPartition(3, [[2, 1], [3]])  # not increasing
     with pytest.raises(ValueError):
-        SetPartition(3, [[1, 3], [2], []])  # empty block
+        NCPartition(3, [[1, 3], [2], []])  # empty block
     with pytest.raises(ValueError):
         NCPartition(4, [[1, 3], [2, 4]])  # crossing
 
 
 def test_negative_sizes_are_refused():
     with pytest.raises(ValueError, match="n must be >= 0"):
-        SetPartition(-3, [])
+        NCPartition(-3, [])
     with pytest.raises(ValueError, match="n must be >= 0"):
         NCPartition(-1, [])
     with pytest.raises(ValueError, match="n must be >= 0"):
         block_sums(-1, lambda k, d: 1)
-    assert SetPartition(0, []).blocks == ()
+    assert NCPartition(0, []).blocks == ()
     assert block_sums(0, lambda k, d: 1) == [1]
 
 
 def test_blocks_sorted_by_minimum():
-    p = SetPartition(4, [[2, 4], [1], [3]])
+    p = NCPartition(4, [[2, 4], [1], [3]])
     assert p.blocks == ((1,), (2, 4), (3,))
 
 
@@ -90,7 +88,7 @@ def test_enumerate_nc_count_n10_vs_filtered_bruteforce():
     count = sum(
         1
         for blocks in set_partitions_bruteforce(10)
-        if is_noncrossing(SetPartition(10, blocks))
+        if is_noncrossing(blocks)
     )
     assert sum(1 for _ in enumerate_nc(10)) == count == 16796
 

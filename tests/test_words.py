@@ -137,7 +137,11 @@ def test_bijection_roundtrip_word_side():
         for text in admissible_words_dfs(n):
             w = OperatorWord.parse(text)
             assert w.is_admissible()
-            assert OperatorWord.from_partition(w.to_partition()) == w
+            p = w.to_partition()
+            assert OperatorWord.from_partition(p) == w
+            # built trusted, p must hold the tuples, ordered by their
+            # minima, that the validating constructor makes of its blocks
+            assert p == NCPartition(n, p.blocks)
 
 
 def test_admissible_counts_match_catalan():
