@@ -483,7 +483,7 @@ def _cmd_words(args) -> int:
     print(f"levels: {' '.join(str(v) for v in info['levels'])}")
     print(f"admissible: {'yes' if admissible else 'no'}")
     if admissible:
-        print(f"partition: {json.dumps(info['partition'], separators=(',', ':'))}")
+        print(f"partition: {str(info['partition']).replace(' ', '')}")
         print(f"cards: {' '.join(info['cards'])}")
         print(f"weight: {info['weight']}")
         if args.cards:

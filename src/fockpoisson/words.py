@@ -12,21 +12,21 @@ notation for operator products.
 
 The level before position k is the running sum of +1 per creation and -1 per
 annihilation among positions < k.  A word is admissible (has nonzero vacuum
-expectation) iff levels stay >= 0, every intermediate or annihilation letter
-sits at level >= 1, and the final balance is zero.  Note the annihilation
-constraint is already forced by the other two; it is checked explicitly so
-that "admissible" and "nonzero expectation" coincide letter by letter.
+expectation) iff each letter sits at or above its floor in _FLOOR (>= 1 for M
+and A; A's is forced, but checked so that "admissible" and "nonzero
+expectation" coincide letter by letter) and the final balance is zero.  The
+letter check, a word's one walk, records its levels and admissibility.
 
 Admissible words biject with non-crossing partitions: scalar letters are
 singletons, creation letters open blocks, annihilation letters close the most
 recently opened block, and intermediate letters join the innermost open block
 (the only non-crossing choice).
 
-A card is a kind and a level, the level before its position, and weighs one
-monomial in sqrt(l), s and t.  Its kind is its word letter, except that an
-intermediate card is N in the degenerate t = 1 mode.  An arrangement weighs
-the monomial whose exponents sum its cards': l^blocks * s^td1 * t^td2 (t^0
-in the t = 1 mode).
+A card is a kind and a level, the level before its position, held to the
+letters' floor table, and weighs one monomial in sqrt(l), s and t.  Its kind
+is its word letter, except that an intermediate card is N in the degenerate
+t = 1 mode.  An arrangement weighs the monomial whose exponents sum its
+cards': l^blocks * s^td1 * t^td2 (t^0 in the t = 1 mode).
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .partitions import NCPartition
 from .poly import MultiPoly
 
 _CHI = {"C": 1, "A": -1, "M": 0, "K": 0}
-# the lowest level a letter may sit at in an admissible word
-_FLOOR = {"C": 0, "A": 1, "M": 1, "K": 0}
+# the lowest level a letter or card may sit at; N is a card kind, not a letter
+_FLOOR = {"C": 0, "A": 1, "M": 1, "K": 0, "N": 1}
 
 
 class NotAdmissibleError(ValueError):
@@ -48,20 +48,25 @@ class NotAdmissibleError(ValueError):
 class OperatorWord:
     """An operator word; position 1 is the rightmost factor of the product."""
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters", "_levels", "_admissible")
 
     def __init__(self, letters: str):
         if not isinstance(letters, str):
             raise TypeError(f"expected a str over C/A/M/K, got {letters!r}")
+        levels, level, floors_met = [], 0, True
         for ch in letters:
             if ch not in _CHI:
                 raise ValueError(f"invalid word letter {ch!r}")
-        self.letters = letters
+            levels.append(level)
+            floors_met = floors_met and level >= _FLOOR[ch]
+            level += _CHI[ch]
+        self.letters, self._levels = letters, tuple(levels)
+        self._admissible = floors_met and level == 0
 
     @classmethod
     def parse(cls, text: str) -> "OperatorWord":
         """Parse a string over C/A/M/K, leftmost character = first-applied factor."""
-        return cls(text.upper())
+        return cls(text.upper() if isinstance(text, str) else text)
 
     def __str__(self):
         return self.letters
@@ -82,24 +87,16 @@ class OperatorWord:
 
     def levels(self):
         """Level before each position: l(1) = 0, l(k+1) = l(k) + step(k)."""
-        out = []
-        level = 0
-        for x in self.letters:
-            out.append(level)
-            level += _CHI[x]
-        return out
+        return list(self._levels)
 
     def is_admissible(self) -> bool:
-        levels = self.levels()
-        return not levels or (levels[-1] + _CHI[self.letters[-1]] == 0
-                              and all(lv >= _FLOOR[x] for x, lv in zip(self.letters, levels)))
+        return self._admissible
 
     def to_partition(self) -> NCPartition:
         """The non-crossing partition whose element k carries this word's k-th letter."""
-        if not self.is_admissible():
+        if not self._admissible:
             raise NotAdmissibleError(f"word {self} is not admissible")
-        blocks = []
-        open_stack = []
+        blocks, open_stack = [], []
         for k, x in enumerate(self.letters, start=1):
             if x == "K":
                 blocks.append((k,))
@@ -160,8 +157,10 @@ class CardArrangement:
     def __init__(self, cards):
         cards = tuple(cards)
         for c in cards:
-            if c.kind in ("A", "M", "N") and c.level < 1:
-                raise ValueError(f"{c.kind}-card requires level >= 1")
+            if c.kind not in _FLOOR or type(c.level) is not int:
+                raise ValueError(f"expected a C/A/M/K/N card at an int level, got {c!r}")
+            if c.level < _FLOOR[c.kind]:
+                raise ValueError(f"{c.kind}-card requires level >= {_FLOOR[c.kind]}")
         self.cards = cards
 
     @property
@@ -179,10 +178,10 @@ class CardArrangement:
 
 def arrangement(w: OperatorWord, degenerate_t: bool = False) -> CardArrangement:
     """Cards for an admissible word; the card index is the incoming level."""
-    if not w.is_admissible():
+    if not w._admissible:
         raise NotAdmissibleError(f"word {w} is not admissible")
     kinds = w.letters.replace("M", "N") if degenerate_t else w.letters
-    return CardArrangement(Card(x, lv) for x, lv in zip(kinds, w.levels()))
+    return CardArrangement(Card(x, lv) for x, lv in zip(kinds, w._levels))
 
 
 _CELL = 5

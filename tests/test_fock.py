@@ -241,20 +241,28 @@ def test_moment_polys_have_integral_lambda_and_nonneg_coeffs():
         assert all(coeff > 0 for _, coeff in m.terms())
 
 
+def scaled_steps(generators):
+    """letter -> the scaled generator X_x as a function of a vector, applied
+    with FockMatrix.apply: X_C = sqrt(l)*creation, X_A = sqrt(l)*annihilation,
+    X_M = intermediate and X_K = l*scalar."""
+    creation, annihilation, scalar, intermediate = generators
+    scaled = {"C": (SQRT_LAM, creation), "A": (SQRT_LAM, annihilation),
+              "M": (ONE, intermediate), "K": (LAM, scalar)}
+    return {x: (lambda vec, f=f, g=g: [f * y if y else y for y in g.apply(vec)])
+            for x, (f, g) in scaled.items()}
+
+
 def word_expectations(generators, nmax):
     """{letters: <vacuum, X_wn ... X_w1 vacuum>} for every word over C/A/M/K
-    of length 1..nmax, with X_C = sqrt(l)*creation, X_A = sqrt(l)*annihilation,
-    X_M = intermediate and X_K = l*scalar applied letter by letter with
-    FockMatrix.apply, the words sharing their prefixes depth first."""
-    creation, annihilation, scalar, intermediate = generators
-    steps = {"C": (SQRT_LAM, creation), "A": (SQRT_LAM, annihilation),
-             "M": (ONE, intermediate), "K": (LAM, scalar)}
+    of length 1..nmax, the scaled generators applied letter by letter and
+    the words sharing their prefixes depth first."""
+    steps = scaled_steps(generators)
     values = {}
     stack = [("", [ONE])]
     while stack:
         letters, vec = stack.pop()
-        for x, (factor, g) in steps.items():
-            word, out = letters + x, [factor * y if y else y for y in g.apply(vec)]
+        for x, step in steps.items():
+            word, out = letters + x, step(vec)
             values[word] = out[0]
             if len(word) < nmax:
                 stack.append((word, out))

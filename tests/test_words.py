@@ -1,6 +1,7 @@
 import pytest
 from fractions import Fraction
 
+from fockpoisson import cli, words
 from fockpoisson.partitions import NCPartition, enumerate_nc
 from fockpoisson.poly import MultiPoly
 from fockpoisson.words import (
@@ -39,12 +40,45 @@ def test_operator_word_takes_a_str():
     with pytest.raises(ValueError, match="invalid word letter 'c'"):
         OperatorWord("ca")  # only parse folds case
     assert OperatorWord.parse("cma") == OperatorWord("CMA")
+    with pytest.raises(TypeError):
+        OperatorWord.parse(5)  # refused by the constructor, not by str.upper
 
 
 def test_levels_worked_examples():
     assert WORD_A.levels() == [0, 1, 1, 2, 2, 1]
     assert OperatorWord("").levels() == []
     assert WORD_B.levels() == [0, 1, 2, 3, 2, 2, 1]
+
+
+def test_mutating_the_levels_list_leaves_the_word_unchanged():
+    w = OperatorWord.parse("CMCKAA")
+    levels = w.levels()
+    levels[0] = 5
+    levels.append(-1)
+    assert w.levels() == [0, 1, 1, 2, 2, 1]
+    assert w.is_admissible()
+    assert w.arrangement().labels() == ["C0", "M1", "C1", "K2", "A2", "A1"]
+    assert w.to_partition().blocks == ((1, 2, 6), (3, 5), (4,))
+
+
+class _CountingSteps(dict):
+    """words._CHI that counts its subscripts, one per letter read for a step."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_each_letter_is_read_once_per_word(monkeypatch, capsys):
+    # levels, admissibility, partition, cards and drawing all come from the
+    # one walk of the constructor's letter check
+    steps = _CountingSteps(words._CHI)
+    monkeypatch.setattr(words, "_CHI", steps)
+    assert cli.main(["words", "--check", "CMCKAA", "--cards"]) == 0
+    assert "levels: 0 1 1 2 2 1" in capsys.readouterr().out
+    assert steps.lookups == 6
 
 
 def test_admissibility():
@@ -101,6 +135,13 @@ def test_card_validation():
         CardArrangement([Card("A", 0)])
     with pytest.raises(ValueError):
         CardArrangement([Card("M", 0)])
+    with pytest.raises(ValueError, match="N-card requires level >= 1"):
+        CardArrangement([Card("N", 0)])
+    # letters and cards share one floor table: a card must be of a known
+    # kind, at an int level at or above its kind's floor
+    for card in (Card("X", 0), Card("K", -1), Card("A", 1.0), Card("C", True), Card("C", -2)):
+        with pytest.raises(ValueError):
+            CardArrangement([Card("C", 0), card])
     with pytest.raises(NotAdmissibleError):
         arrangement(OperatorWord.parse("AC"))
 
