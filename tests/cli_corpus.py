@@ -23,7 +23,8 @@ import json
 import sys
 from pathlib import Path
 
-from fockpoisson.cli import ENGINE_NAMES, main
+from fockpoisson.cli import main
+from fockpoisson.commands import ENGINE_NAMES
 from fockpoisson.partitions import Family
 
 DIGESTS = Path(__file__).with_name("cli_corpus.json")

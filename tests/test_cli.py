@@ -478,15 +478,15 @@ def test_engine_limit_admits_its_limit_and_force(capsys, no_engines, engine, lim
 
 
 def test_engine_limits_are_documented_and_above_the_benchmark():
-    from fockpoisson import cli
+    from fockpoisson import commands
 
-    limits = cli.ENGINE_NMAX_LIMITS
+    limits = commands.ENGINE_NMAX_LIMITS
     assert limits == dict(ENGINE_LIMITS)
     # bench/workloads.py runs moments --engine all --nmax 10, jacobi --nmax 18,
     # operator --nmax 16 and partitions --n 8 --list
     assert all(limit >= 10 for limit in limits.values())
     assert limits["jacobi"] >= 18 and limits["operator"] >= 16
-    doc = " ".join(cli.__doc__.split())
+    doc = " ".join(commands.__doc__.split())
     assert "(nc 12, blockwise 28, jacobi 36, operator 40)" in doc
 
 
@@ -516,26 +516,27 @@ def test_partitions_list_admits_the_nc_limit_and_force(capsys, monkeypatch):
 
 @pytest.mark.parametrize("mode", [(), ("--count-by-blocks",)])
 def test_partitions_count_limit_refuses_before_the_recursion(capsys, monkeypatch, mode):
-    from fockpoisson import cli, partitions
+    from fockpoisson import commands, partitions
 
     def refuse(*args, **kwargs):
         raise AssertionError("block_sums ran")
 
     monkeypatch.setattr(partitions, "block_sums", refuse)
-    n = cli.COUNT_N_LIMIT + 1
+    limit = commands.COUNT_N_LIMIT
+    n = limit + 1
     code, out, err = run(capsys, "partitions", "--n", str(n), *mode)
     assert code == 3 and out == ""
-    assert err == (f"error: n = {n} exceeds the count engine's limit {cli.COUNT_N_LIMIT}; "
+    assert err == (f"error: n = {n} exceeds the count engine's limit {limit}; "
                    "its cost grows steeply with n\n"
                    "pass --force to override the limit for this run\n")
 
 
 def test_partitions_count_admits_its_limit_and_force(capsys):
-    from fockpoisson import cli
+    from fockpoisson import commands
 
     # the interval partitions of [n] are the 2**(n - 1) compositions of n,
     # C(n - 1, k - 1) of them with k blocks
-    limit = cli.COUNT_N_LIMIT
+    limit = commands.COUNT_N_LIMIT
     assert limit >= 19  # README counts partitions --n 19; the benchmark --n 10
     for argv in (("--n", str(limit)), ("--n", str(limit + 1), "--force")):
         n = int(argv[1])
@@ -584,24 +585,55 @@ def test_fock_usage_error_before_any_output(capsys):
 @pytest.mark.parametrize("mode", [("--relations",), ("--dump", "poisson"),
                                   ("--dump", "creation", "--relations")])
 def test_fock_limit_refuses_before_any_matrix(capsys, no_engines, mode):
-    from fockpoisson import cli
+    from fockpoisson import commands
 
-    n = cli.FOCK_N_LIMIT + 1
+    n = commands.FOCK_N_LIMIT + 1
     code, out, err = run(capsys, "fock", "--n", str(n), *mode)
     assert code == 3 and out == ""
-    assert err == (f"error: n = {n} exceeds the fock engine's limit {cli.FOCK_N_LIMIT}; "
+    assert err == (f"error: n = {n} exceeds the fock engine's limit {commands.FOCK_N_LIMIT}; "
                    "its cost grows steeply with n\n"
                    "pass --force to override the limit for this run\n")
 
 
 def test_fock_limit_admits_its_limit_and_force(capsys, monkeypatch):
-    from fockpoisson import cli
+    from fockpoisson import commands
 
-    monkeypatch.setattr(cli, "FOCK_N_LIMIT", 3)
+    monkeypatch.setattr(commands, "FOCK_N_LIMIT", 3)
     for argv in (("--n", "3"), ("--n", "4", "--force")):
         code, out, _ = run(capsys, "fock", *argv, "--dump", "poisson")
         assert code == 0 and json.loads(out)["dim"] == int(argv[1]) + 1
     assert run(capsys, "fock", "--n", "4", "--relations")[0] == 3
+
+
+def test_sequence_limit_refuses_before_the_walk(capsys, no_engines):
+    from fockpoisson import commands, moments
+
+    def refuse(*args):
+        raise AssertionError("the coefficients were built")
+
+    no_engines.setattr(moments, "jacobi", refuse)
+    limit = commands.SEQUENCE_NMAX_LIMIT
+    # README and the benchmark run sequence --nmax 10
+    assert limit >= 10
+    doc = " ".join(commands.__doc__.split())
+    assert f"sequence --nmax past SEQUENCE_NMAX_LIMIT ({limit:,})" in doc
+    for fmt in ("plain", "json"):
+        code, out, err = run(capsys, "sequence", "--nmax", str(limit + 1), "--format", fmt)
+        assert code == 3 and out == ""
+        assert err == (f"error: n = {limit + 1} exceeds the sequence engine's limit {limit}; "
+                       "its cost grows steeply with n\n"
+                       "pass --force to override the limit for this run\n")
+
+
+def test_sequence_limit_admits_its_limit_and_force(capsys, monkeypatch):
+    from fockpoisson import commands
+
+    monkeypatch.setattr(commands, "SEQUENCE_NMAX_LIMIT", 12)
+    values = [str(m.eval(1, 1, 1)) for m in cfree_moments(13)[1:]]
+    for argv in (("--nmax", "12"), ("--nmax", "13", "--force")):
+        code, out, _ = run(capsys, "sequence", *argv)
+        assert code == 0 and out.split() == values[:int(argv[1])]
+    assert run(capsys, "sequence", "--nmax", "13")[:2] == (3, "")
 
 
 def test_fock_dump_and_relations_are_one_json_document(capsys):
@@ -651,11 +683,11 @@ def test_moments_json_is_the_json_modules_layout(capsys, engine):
 
 def test_moments_json_layout_of_half_units_and_zero(capsys, monkeypatch):
     """el of a half unit is json's float text, and a zero row has no terms."""
-    from fockpoisson import cli
+    from fockpoisson import commands
     from fockpoisson.poly import LAM, ONE, S, SQRT_LAM, T, ZERO
 
     table = [ONE, SQRT_LAM, ZERO, 3 * SQRT_LAM * LAM * S + T - 2 * LAM]
-    monkeypatch.setitem(cli._ENGINE_TABLES, "nc", lambda nmax, s, t: table[:nmax + 1])
+    monkeypatch.setitem(commands._ENGINE_TABLES, "nc", lambda nmax, s, t: table[:nmax + 1])
     code, out, _ = run(capsys, "moments", "--engine", "nc", "--nmax", "3",
                        "--at=9/4,1/2,1/3", "--format", "json")
     assert code == 0
@@ -885,7 +917,7 @@ def test_cauchy_negative_range_start_in_equals_form(capsys):
     assert typed == default
 
 
-# (argv, the measure past its limit in cli.CAUCHY_LIMITS, its value)
+# (argv, the measure past its limit in commands.CAUCHY_LIMITS, its value)
 CAUCHY_PAST_LIMITS = [
     (("--depth", "1000001", "--re=0:1:1", "--im=1:1:1"), "depth", 1_000_001),
     (("--depth", "1", "--re=0:1:1000", "--im=1:2:251"), "grid points", 251_000),
@@ -896,13 +928,13 @@ CAUCHY_PAST_LIMITS = [
 @pytest.mark.parametrize("argv, size, value", CAUCHY_PAST_LIMITS,
                          ids=["depth", "points", "work"])
 def test_cauchy_limits_refuse_before_any_work(capsys, no_engines, argv, size, value):
-    from fockpoisson import cli
+    from fockpoisson import commands
 
     def refuse(*args):
         raise AssertionError("the coefficients were built")
 
     no_engines.setattr(analytic, "jacobi_floats", refuse)
-    limit = cli.CAUCHY_LIMITS[size]
+    limit = commands.CAUCHY_LIMITS[size]
     code, out, err = run(capsys, "cauchy", *argv)
     assert code == 3 and out == ""
     assert err == (f"error: {size} = {value} exceeds the cauchy engine's limit {limit}; "
@@ -915,9 +947,9 @@ def test_cauchy_limits_refuse_before_any_work(capsys, no_engines, argv, size, va
                                          ("depth * grid points", 45)],
                          ids=["depth", "points", "work"])
 def test_cauchy_limits_admit_their_limits_and_force(capsys, monkeypatch, size, limit):
-    from fockpoisson import cli
+    from fockpoisson import commands
 
-    monkeypatch.setitem(cli.CAUCHY_LIMITS, size, limit)
+    monkeypatch.setitem(commands.CAUCHY_LIMITS, size, limit)
     at_limit = run(capsys, "cauchy", "--depth", "5", "--re=0:1:3", "--im=1:2:3")
     assert at_limit[0] == 0 and len(at_limit[1].splitlines()) == 10
     past = ("--depth", "6", "--re=0:1:3", "--im=1:2:4")
@@ -927,16 +959,16 @@ def test_cauchy_limits_admit_their_limits_and_force(capsys, monkeypatch, size, l
 
 
 def test_cauchy_limits_are_above_the_tests_and_the_benchmark():
-    from fockpoisson import cli
+    from fockpoisson import commands
 
-    assert cli.CAUCHY_LIMITS == {"depth": 1_000_000, "grid points": 250_000,
-                                 "depth * grid points": 50_000_000}
+    assert commands.CAUCHY_LIMITS == {"depth": 1_000_000, "grid points": 250_000,
+                                      "depth * grid points": 50_000_000}
     # the largest runs: --depth 5000 on 8 x 8 points above, and the
     # benchmark's --depth 200 on 15 x 15
     for depth, points in ((5000, 64), (200, 225)):
-        assert depth <= cli.CAUCHY_LIMITS["depth"]
-        assert points <= cli.CAUCHY_LIMITS["grid points"]
-        assert depth * points <= cli.CAUCHY_LIMITS["depth * grid points"]
+        assert depth <= commands.CAUCHY_LIMITS["depth"]
+        assert points <= commands.CAUCHY_LIMITS["grid points"]
+        assert depth * points <= commands.CAUCHY_LIMITS["depth * grid points"]
 
 
 def test_cauchy_grid_is_not_listed_before_the_limits(capsys, monkeypatch):
@@ -973,11 +1005,11 @@ def _grid_listed(text, positive=False):
 def test_cauchy_grid_check_equals_listing_every_point():
     """Rounding is monotone, so the first and last points bound the rest:
     cli._grid refuses exactly the grids with a point that is not finite (or
-    not positive), and cli._points lists the same floats."""
+    not positive), and commands._points lists the same floats."""
     import argparse
     import random
 
-    from fockpoisson import cli
+    from fockpoisson import cli, commands
 
     rng = random.Random(7)
     edges = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 5e-324, 1e308, -1e308, 1.7976931348623157e308,
@@ -989,7 +1021,7 @@ def test_cauchy_grid_check_equals_listing_every_point():
     for text in texts:
         for positive in (False, True):
             try:
-                got = cli._points(*cli._grid(text, positive))
+                got = commands._points(*cli._grid(text, positive))
             except argparse.ArgumentTypeError:
                 got = None
             want = _grid_listed(text, positive)
@@ -998,13 +1030,13 @@ def test_cauchy_grid_check_equals_listing_every_point():
 
 
 def test_engine_disagreement_exits_one(capsys, monkeypatch):
-    import fockpoisson.cli as cli
+    from fockpoisson import commands
     from fockpoisson.poly import MultiPoly
 
-    broken = dict(cli._ENGINE_TABLES)
+    broken = dict(commands._ENGINE_TABLES)
     # wrong on purpose
     broken["jacobi"] = lambda nmax, s, t: [MultiPoly.const(n) for n in range(nmax + 1)]
-    monkeypatch.setattr(cli, "_ENGINE_TABLES", broken)
+    monkeypatch.setattr(commands, "_ENGINE_TABLES", broken)
     code, out, _ = run(capsys, "moments", "--nmax", "2", "--engine", "all")
     assert code == 1
     assert "ENGINE DISAGREEMENT" in out
@@ -1022,7 +1054,7 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     for argv in (["cauchy", "--s-o"],  # no prefix matching
-                 ["sequence", "--nmax", "3", "--force"]):  # counting has no cap
+                 ["words", "--check", "CA", "--force"]):  # the drawing has no cap
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -1098,22 +1130,65 @@ def test_negative_lambda_at_needs_the_equals_form(capsys):
 
 
 def test_cli_engines_are_the_library_tables():
-    import fockpoisson.cli as cli
+    from fockpoisson import commands
     from fockpoisson import moments
 
-    assert cli.ENGINE_NAMES == tuple(moments.ENGINE_TABLES)
-    assert set(cli.ENGINE_NMAX_LIMITS) == set(cli.ENGINE_NAMES)
+    assert commands.ENGINE_NAMES == tuple(moments.ENGINE_TABLES)
+    assert set(commands.ENGINE_NMAX_LIMITS) == set(commands.ENGINE_NAMES)
+
+
+# every command's option strings, and the choices of those that have them
+PARSER_OPTIONS = {
+    "moments": {"-h": None, "--help": None, "--nmax": None,
+                "--engine": ("nc", "blockwise", "jacobi", "operator", "all"),
+                "--s-one": None, "--s-zero": None, "--t-one": None, "--t-zero": None,
+                "--at": None, "--format": ("plain", "json", "csv"), "--force": None},
+    "sequence": {"-h": None, "--help": None, "--nmax": None,
+                 "--format": ("plain", "json"), "--force": None},
+    "partitions": {"-h": None, "--help": None, "--n": None,
+                   "--family": ("NC", "INTERVAL", "ALMOST_INTERVAL", "NC12_INNER"),
+                   "--list": None, "--count-by-blocks": None, "--stats": None,
+                   "--format": ("plain", "json", "csv"), "--force": None},
+    "words": {"-h": None, "--help": None, "--check": None, "--from-partition": None,
+              "--cards": None, "--degenerate": None, "--format": ("plain", "json")},
+    "fock": {"-h": None, "--help": None, "--n": None,
+             "--dump": ("poisson", "creation", "annihilation", "scalar", "intermediate"),
+             "--relations": None, "--format": ("plain", "json"), "--force": None},
+    "cauchy": {"-h": None, "--help": None, "--lam": None,
+               "--s": None, "--s-one": None, "--s-zero": None,
+               "--t": None, "--t-one": None, "--t-zero": None,
+               "--depth": None, "--re": None, "--im": None, "--closed": None,
+               "--format": ("csv", "json"), "--force": None},
+}
+
+
+def test_parser_options_are_pinned():
+    """A dropped, renamed or added option or choice fails here: the corpus
+    checks what the commands print, not what the parser accepts."""
+    import argparse
+
+    from fockpoisson import cli
+
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [s for a in parser._actions for s in a.option_strings] == ["-h", "--help"]
+    got = {name: {s: None if a.choices is None else tuple(a.choices)
+                  for a in p._actions for s in a.option_strings}
+           for name, p in sub.choices.items()}
+    assert got == PARSER_OPTIONS
+    assert list(got) == list(PARSER_OPTIONS)
+    assert all(list(got[name]) == list(PARSER_OPTIONS[name]) for name in got)
 
 
 def test_per_row_jacobi_override_matches_one_walk():
-    # the one fork between cli._ENGINE_TABLES and moments.ENGINE_TABLES
-    import fockpoisson.cli as cli
+    # the one fork between commands._ENGINE_TABLES and moments.ENGINE_TABLES
+    from fockpoisson import commands
     from fockpoisson import moments
     from fockpoisson.poly import ONE, S, T, ZERO
 
     for s in (S, ONE, ZERO):
         for t in (T, ONE, ZERO):
-            assert (cli._ENGINE_TABLES["jacobi"](16, s, t)
+            assert (commands._ENGINE_TABLES["jacobi"](16, s, t)
                     == moments.ENGINE_TABLES["jacobi"](16, s, t))
 
 

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from fockpoisson import fock, moments, partitions
-from fockpoisson.cli import CFREE_SEQUENCE_REFERENCE
+from fockpoisson.commands import CFREE_SEQUENCE_REFERENCE
 from fockpoisson.moments import (
     DegreeOutOfRangeError,
     LimitCase,
